@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .gbs import BlochAngles, binomial_amplitudes, log_binomial
@@ -176,6 +175,8 @@ def rotation_operator_spin(J, angles: BlochAngles) -> OperatorMatrix:
 def _nilpotent_exp(x, ladder, order: int):
     """exp(x * ladder) for a nilpotent mpmath ladder matrix, by the exact
     terminating series."""
+    import mpmath as mp  # deferred: only this oracle needs it, and it slows import
+
     dim = ladder.rows
     out = mp.eye(dim)
     term = mp.eye(dim)
@@ -202,6 +203,8 @@ def disentangled_rotation(J, angles: BlochAngles) -> OperatorMatrix:
             "the disentangled factorization diverges at theta = pi; "
             "use the direct exponential (rotation_operator_spin)"
         )
+    import mpmath as mp  # deferred: only this oracle needs it, and it slows import
+
     two_j = _check_half_integer(J)
     dim = two_j + 1
     tau_abs2 = math.tan(angles.theta / 2.0) ** 2

@@ -11,6 +11,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -34,6 +35,11 @@ def _f(x: float) -> str:
 
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
+
+
+def _json(payload: dict) -> str:
+    # allow_nan=False: NaN and Infinity are not JSON, so never print them
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _amplitude_list(amp: np.ndarray) -> list[dict]:
@@ -69,7 +75,7 @@ def cmd_state(args) -> int:
     params = GbsParams(args.N, args.p, _angle(args.phi, args.degrees))
     payload = _state_payload(params, args.dim)
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     else:
         lines = ["n,re,im"]
         lines += [
@@ -85,7 +91,7 @@ def cmd_overlap(args) -> int:
     value = gbs_overlap(a, b)
     payload = {"N": args.N, "re": value.real, "im": value.imag, "abs": abs(value)}
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     else:
         _emit(
             "re,im,abs\n" + f"{_f(value.real)},{_f(value.imag)},{_f(abs(value))}\n",
@@ -98,7 +104,7 @@ def cmd_partner(args) -> int:
     partner = orthogonal_partner(GbsParams(args.N, args.p, _angle(args.phi, args.degrees)))
     payload = {"N": partner.N, "p": partner.p, "phi": partner.phi}
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     else:
         _emit("N,p,phi\n" + f"{partner.N},{_f(partner.p)},{_f(partner.phi)}\n", args.output)
     return 0
@@ -113,7 +119,7 @@ def cmd_basis(args) -> int:
             "phi": basis.phi,
             "states": [_amplitude_list(s.amp) for s in basis.states],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     else:
         lines = ["m,n,re,im"]
         for m, s in enumerate(basis.states):
@@ -139,9 +145,12 @@ def _load_state_file(path: str) -> np.ndarray:
         if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
             raise UsageError(f"{path}: amplitudes[{i}] must be an object with fields 're' and 'im'")
         try:
-            amp.append(complex(float(entry["re"]), float(entry["im"])))
+            z = complex(float(entry["re"]), float(entry["im"]))
         except (TypeError, ValueError):
             raise UsageError(f"{path}: amplitudes[{i}] has non-numeric 're'/'im'")
+        if not cmath.isfinite(z):
+            raise UsageError(f"{path}: amplitudes[{i}] is not finite")
+        amp.append(z)
     if not amp:
         raise UsageError(f"{path}: amplitudes list is empty")
     return np.array(amp, dtype=np.complex128)
@@ -156,7 +165,7 @@ def cmd_expand(args) -> int:
     result = reconstruct(StateVector(amp), n, quad)
     payload = {"N": n, "amplitudes": _amplitude_list(result.amp)}
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_json(payload), args.output)
     else:
         lines = ["n,re,im"]
         lines += [f"{k},{_f(a['re'])},{_f(a['im'])}" for k, a in enumerate(payload["amplitudes"])]
@@ -197,7 +206,7 @@ def cmd_verify(args) -> int:
         report = run_verification(cfg)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit(_json(report), args.output)
     return 0 if report["all_passed"] else 1
 
 
@@ -291,3 +300,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

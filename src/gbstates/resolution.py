@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import GbsParams, binomial_amplitudes, gbs_state, log_binomial
+from .gbs import GbsParams, _log_binomial_row, binomial_amplitudes, gbs_state
 from .hilbert import OperatorMatrix, StateVector, inner
 
 
@@ -149,10 +149,7 @@ def expansion_amplitude_series(psi: StateVector, params: GbsParams) -> complex:
         return complex(c[N] * cmath.exp(-1j * N * params.phi))
     n = np.arange(N + 1, dtype=float)
     log_abs_tau = 0.5 * (math.log1p(-params.p) - math.log(params.p))
-    coeff = np.exp(
-        0.5 * np.array([log_binomial(N, k) for k in range(N + 1)])
-        + (N - n) * log_abs_tau
-    )
+    coeff = np.exp(0.5 * _log_binomial_row(N) + (N - n) * log_abs_tau)
     return complex(np.sum(c * coeff * np.exp(-1j * n * params.phi)))
 
 

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import GbsParams, gbs_state, log_binomial
+from .gbs import (
+    GbsParams,
+    _check_photon_number,
+    _lgamma_table,
+    _log_binomial_row,
+    gbs_state,
+)
 from .hilbert import OperatorMatrix, StateVector
 
 
@@ -90,35 +96,64 @@ def direct_stats(psi: StateVector) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, 1.0 - var_x, 1.0 - var_p)
 
 
-def _cross_binomial_sum(N: int, M: int, p: float) -> float:
-    """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1."""
+def _cross_log_rows(N: int) -> list[np.ndarray]:
+    """0.5 * log(C(N,n) C(M,n)) for n = 0..M, for M = N-1 and M = N-2 where M >= 0.
+
+    The rows do not depend on p, so a scan builds them once for all p.
+    """
+    if N < 1:
+        return []
+    lg = _lgamma_table(N)
+    logc = _log_binomial_row(N, lg)
+    return [
+        0.5 * (logc[: M + 1] + _log_binomial_row(M, lg)) for M in (N - 1, N - 2) if M >= 0
+    ]
+
+
+def _cross_binomial_sum(half_logc: np.ndarray, p: float) -> float:
+    """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1,
+    from its _cross_log_rows row."""
+    M = half_logc.size - 1
     n = np.arange(M + 1, dtype=float)
-    logs = 0.5 * np.array([log_binomial(N, k) + log_binomial(M, k) for k in range(M + 1)])
-    logs += n * math.log(p) + (M - n) * math.log1p(-p)
+    logs = half_logc + (n * math.log(p) + (M - n) * math.log1p(-p))
     return float(np.sum(np.exp(logs)))
 
 
-def squeezing_terms(N: int, p: float) -> SqueezingTerms:
-    """Closed-form A(N,p) and B(N,p)."""
+def _squeezing_terms(N: int, p: float, cross_rows: list[np.ndarray] | None) -> SqueezingTerms:
+    """A(N,p) and B(N,p) from the _cross_log_rows(N) rows, built here when None."""
+    _check_photon_number(N)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     if p in (0.0, 1.0) or N == 0:
         return SqueezingTerms(0.0, 0.0)
-    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * _cross_binomial_sum(N, N - 1, p)
+    if cross_rows is None:
+        cross_rows = _cross_log_rows(N)
+    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * _cross_binomial_sum(cross_rows[0], p)
     if N < 2:
         return SqueezingTerms(0.0, b)
-    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * _cross_binomial_sum(N, N - 2, p)
+    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * _cross_binomial_sum(cross_rows[1], p)
     return SqueezingTerms(a, b)
 
 
-def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
-    """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>."""
-    terms = squeezing_terms(N, p)
+def squeezing_terms(N: int, p: float) -> SqueezingTerms:
+    """Closed-form A(N,p) and B(N,p)."""
+    return _squeezing_terms(N, p, None)
+
+
+def _indexes_from_terms(
+    N: int, p: float, phi: float, terms: SqueezingTerms
+) -> tuple[float, float]:
+    """(S_X, S_P) from A and B: the paper's closed form, written once."""
     a, b2 = terms.A_term, terms.B_term ** 2
     cos2 = math.cos(2.0 * phi)
     s_x = -2.0 * N * p - a * cos2 + b2 * math.cos(phi) ** 2
     s_p = -2.0 * N * p + a * cos2 + b2 * math.sin(phi) ** 2
     return s_x, s_p
+
+
+def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
+    """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>."""
+    return _indexes_from_terms(N, p, phi, squeezing_terms(N, p))
 
 
 def squeeze_scan(
@@ -141,16 +176,17 @@ def squeeze_scan(
     if not p_grid or not phi_grid:
         raise ValueError("scan grids must be non-empty")
     rows = []
-    for p in p_grid:
-        terms = squeezing_terms(N, p) if source == "closed_form" else None
-        for phi in phi_grid:
-            if source == "closed_form":
-                a, b2 = terms.A_term, terms.B_term ** 2
-                cos2 = math.cos(2.0 * phi)
-                s_x = -2.0 * N * p - a * cos2 + b2 * math.cos(phi) ** 2
-                s_p = -2.0 * N * p + a * cos2 + b2 * math.sin(phi) ** 2
-                rows.append(SqueezeRow(N, p, phi, s_x, s_p, source))
-            else:
+    if source == "direct":
+        for p in p_grid:
+            for phi in phi_grid:
                 stats = direct_stats(gbs_state(GbsParams(N, p, phi), dim=N + 3))
                 rows.append(SqueezeRow(N, p, phi, stats.S_X, stats.S_P, source, stats))
+        return rows
+    _check_photon_number(N)
+    cross_rows = _cross_log_rows(N)
+    for p in p_grid:
+        terms = _squeezing_terms(N, p, cross_rows)
+        for phi in phi_grid:
+            s_x, s_p = _indexes_from_terms(N, p, phi, terms)
+            rows.append(SqueezeRow(N, p, phi, s_x, s_p, source))
     return rows

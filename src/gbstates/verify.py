@@ -26,9 +26,10 @@ TWO_PI = 2.0 * math.pi
 class VerifyConfig:
     """Knobs for a verification run.
 
-    tolerance None keeps each check at its specified bound; a float
-    replaces the bound of every residual (<=) check. groups None runs
-    everything. n restricts N-sweeps to one value where that makes sense.
+    tolerance None keeps each check at its specified bound; a finite,
+    non-negative float replaces the bound of every residual (<=) check.
+    groups None runs everything. n restricts N-sweeps to one value where
+    that makes sense.
     """
 
     tolerance: float | None = None
@@ -37,13 +38,19 @@ class VerifyConfig:
     n: int | None = None
 
 
+def _json_float(x: float) -> float | None:
+    """JSON has no NaN or infinity: a non-finite value is reported as null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _le(name: str, value: float, bound: float, cfg: VerifyConfig, diagnostic=False):
     if cfg.tolerance is not None and not diagnostic:
         bound = cfg.tolerance
     entry = {
         "name": name,
-        "value": float(value),
-        "bound": float(bound),
+        "value": _json_float(value),
+        "bound": _json_float(bound),
         "comparison": "<=",
         "passed": bool(value <= bound),
     }
@@ -56,8 +63,8 @@ def _le(name: str, value: float, bound: float, cfg: VerifyConfig, diagnostic=Fal
 def _ge(name: str, value: float, bound: float):
     return {
         "name": name,
-        "value": float(value),
-        "bound": float(bound),
+        "value": _json_float(value),
+        "bound": _json_float(bound),
         "comparison": ">=",
         "passed": bool(value >= bound),
     }
@@ -579,6 +586,9 @@ GROUPS = {
 
 
 def run_verification(cfg: VerifyConfig) -> dict:
+    tol = cfg.tolerance
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     names = cfg.groups if cfg.groups else tuple(GROUPS)
     unknown = [g for g in names if g not in GROUPS]
     if unknown:

@@ -146,10 +146,41 @@ class TestExpand:
         assert code == 2
         assert "amplitudes[0]" in err
 
+    def test_non_finite_amplitude_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"amplitudes": [{"re": 1.0, "im": 0.0}, {"re": NaN, "im": 0.0}]}')
+        code, out, err = run_cli(capsys, "expand", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "amplitudes[1] is not finite" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "expand", str(tmp_path / "none.json"))
         assert code == 2
         assert "cannot read" in err
+
+
+class TestNonFiniteAngles:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_state_phi_rejected(self, capsys, value):
+        code, out, err = run_cli(capsys, "state", "-N", "2", "-p", "0.5", f"--phi={value}")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_overlap_phi2_nan_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "overlap", "-N", "2", "-p", "0.5", "--p2", "0.2", "--phi2", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_degrees_do_not_hide_infinity(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "partner", "-N", "2", "-p", "0.5", "--phi", "inf", "--degrees"
+        )
+        assert code == 2
 
 
 class TestSqueezeScan:
@@ -190,6 +221,14 @@ class TestSqueezeScan:
         run_cli(capsys, "squeeze-scan", "-N", "2", "--p-steps", "4", "--phi-steps", "3", "-o", str(out_file))
         assert out_file.read_bytes() == first
 
+    def test_negative_photon_number_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "squeeze-scan", "-N", "-1", "--p-steps", "2", "--phi-steps", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-negative integer" in err
+
     def test_step_minimum_enforced(self, capsys):
         code, _, err = run_cli(
             capsys, "squeeze-scan", "-N", "2", "--p-steps", "1", "--phi-steps", "4"
@@ -228,6 +267,26 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--group", "gbs")
         assert code == 1
         assert json.loads(out)["tolerance"] == 1e-16
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_bad_tolerance_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--group", "gbs", f"--tolerance={value}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_env_tolerance_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GBSTATES_TOLERANCE", value)
+        code, out, err = run_cli(capsys, "verify", "--group", "gbs")
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--group", "gbs", "--tolerance", "0")
+        assert code in (0, 1)
+        assert json.loads(out)["tolerance"] == 0.0
 
     def test_unknown_group_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--group", "nothing")

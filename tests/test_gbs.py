@@ -11,6 +11,7 @@ from gbstates.gbs import (
     angles_to_params,
     binomial_amplitudes,
     circular_distance,
+    normalize_angle,
     coherent_state_truncated,
     gbs_overlap,
     gbs_state,
@@ -171,6 +172,21 @@ class TestAngleMaps:
             there = params_to_angles(angles_to_params(angles, 5))
             assert there.theta == pytest.approx(angles.theta, abs=1e-12)
             assert circular_distance(there.varphi, angles.varphi) <= 1e-12
+
+
+class TestNormalizeAngle:
+    def test_wraps_into_canonical_interval(self):
+        assert normalize_angle(-math.pi / 2) == pytest.approx(1.5 * math.pi)
+        assert normalize_angle(5 * math.pi) == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_angle(value)
+        with pytest.raises(ValueError, match="finite"):
+            GbsParams(3, 0.5, value)
+        with pytest.raises(ValueError, match="finite"):
+            BlochAngles(1.0, value)
 
 
 class TestCoherentState:

@@ -1,5 +1,8 @@
 """Tests for the verification driver itself."""
 
+import json
+import math
+
 import pytest
 
 from gbstates.verify import GROUPS, VerifyConfig, run_verification
@@ -39,3 +42,16 @@ def test_diagnostic_check_never_gates():
     appendix = report["groups"][0]
     diag = [c for c in appendix["checks"] if c.get("diagnostic")]
     assert diag and all(c["passed"] for c in diag)
+
+
+def test_diagnostic_without_bound_serialises_as_strict_json():
+    report = run_verification(VerifyConfig(groups=("appendix",)))
+    json.dumps(report, allow_nan=False)
+    diag = [c for c in report["groups"][0]["checks"] if c.get("diagnostic")]
+    assert diag and all(c["bound"] is None for c in diag)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-12])
+def test_bad_tolerance_rejected_before_any_group_runs(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        run_verification(VerifyConfig(tolerance=tolerance, groups=("appendix",)))
