@@ -21,7 +21,7 @@ import numpy as np
 
 from .gbs import BlochAngles, binomial_amplitudes, log_binomial
 from .hilbert import OperatorMatrix, StateVector, adjoint, expm
-from .resolution import SphereQuadrature, _warn_if_under_resolved
+from .resolution import SphereQuadrature, _resolution_matrix, _warn_if_under_resolved
 
 MAX_TENSOR_ATOMS = 12
 
@@ -265,26 +265,11 @@ def cas_overlap_modulus_sq(J, a: BlochAngles, b: BlochAngles) -> float:
     return ((1.0 + cos_big) / 2.0) ** two_j  # cos^2(Theta/2)^(2J)
 
 
-def _cas_grid_amplitudes(J, quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """CAS coefficient matrix and measure weights over the quadrature grid."""
-    two_j = _check_half_integer(J)
-    phis = quad.phi_values
-    n = np.arange(two_j + 1)
-    amps = []
-    weights = []
-    for theta, w in quad.theta_nodes:
-        mods = binomial_amplitudes(two_j, math.cos(theta / 2.0) ** 2)
-        amps.append(mods[None, :] * np.exp(-1j * np.outer(phis, n)))
-        weights.append(np.full(quad.phi_count, (two_j + 1) * w / (2.0 * quad.phi_count)))
-    return np.concatenate(amps, axis=0), np.concatenate(weights)
-
-
 def cas_identity_resolution(J, quad: SphereQuadrature) -> OperatorMatrix:
     """(2J+1) integral dOmega/(4 pi) |theta,varphi><theta,varphi| on the grid."""
     two_j = _check_half_integer(J)
     _warn_if_under_resolved(two_j, quad)
-    amps, weights = _cas_grid_amplitudes(J, quad)
-    return OperatorMatrix((amps.T * weights) @ amps.conj())
+    return OperatorMatrix(_resolution_matrix(two_j, quad).conj())
 
 
 def cas_expansion_check(J, psi: StateVector, quad: SphereQuadrature) -> StateVector:
@@ -293,6 +278,4 @@ def cas_expansion_check(J, psi: StateVector, quad: SphereQuadrature) -> StateVec
     if psi.dim != two_j + 1:
         raise ValueError(f"state dimension {psi.dim} must equal 2J+1 = {two_j + 1}")
     _warn_if_under_resolved(two_j, quad)
-    amps, weights = _cas_grid_amplitudes(J, quad)
-    coeffs = amps.conj() @ psi.amp
-    return StateVector((weights * coeffs) @ amps)
+    return StateVector(_resolution_matrix(two_j, quad).conj() @ psi.amp)

@@ -42,9 +42,10 @@ def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
     |N, p, phi| itself; every state is renormalized against roundoff and
     phase-fixed so its first nonzero amplitude is real positive.
     """
-    if p in (0.0, 1.0):
+    if N == 0 or p in (0.0, 1.0):
         # the rotation degenerates to the identity (p=1) or an inversion
-        # (p=0): the ladder is the number basis, possibly reversed
+        # (p=0): the ladder is the number basis, possibly reversed; at
+        # N = 0 it is the vacuum alone, which has no orthogonal partner
         order = range(N + 1) if p == 1.0 else range(N, -1, -1)
         states = []
         for m in order:
@@ -68,7 +69,7 @@ def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
     """Single ladder state from the closed form C(N,m)^(-1/2) (Jplus')^m / m!."""
     if not 0 <= m <= N:
         raise ValueError(f"ladder index m={m} outside [0, {N}]")
-    if p in (0.0, 1.0):
+    if N == 0 or p in (0.0, 1.0):
         return delta_basis(N, p, phi).states[m]
     raising = rotated_operators(N, p, phi).Jplus.entries
     amp = gbs_state(orthogonal_partner(GbsParams(N, p, phi))).amp

@@ -164,7 +164,13 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
 
 
 def orthogonal_partner(params: GbsParams) -> GbsParams:
-    """The unique state with the same N orthogonal to the given one."""
+    """The unique state with the same N orthogonal to the given one.
+
+    At N = 0 every state is the vacuum |0>, so no orthogonal partner
+    exists and a ValueError is raised.
+    """
+    if params.N == 0:
+        raise ValueError("N = 0 has no orthogonal partner: every state is the vacuum |0>")
     return GbsParams(params.N, 1.0 - params.p, params.phi + math.pi)
 
 

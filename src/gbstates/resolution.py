@@ -9,6 +9,17 @@ polynomial in u once the azimuthal average is taken, so Gauss-Legendre in
 u (>= ceil((N+1)/2) nodes) plus a uniform phase grid (>= N+1 nodes) makes
 the quadrature exact to roundoff. Interior Gauss nodes never touch the
 degenerate p = 0, 1 endpoints.
+
+The grid sum is never formed node by node. The state at (theta_k, phi_j)
+has amplitudes m_k[n] e^(i n phi_j), so the weighted sum of its projectors
+has entries
+
+    R[n, n'] = G[n, n'] * S(n - n'),
+
+a real Gram matrix G of the K polar rows m_k times the azimuthal average
+S(d) = (1/M) sum_j e^(i d phi_j). That is the same finite sum taken in
+another order: O(K N^2 + M N) time and O(K N + N^2) memory for K polar
+and M phase nodes, against O(K M N) for the full amplitude grid.
 """
 
 from __future__ import annotations
@@ -74,22 +85,23 @@ class ExpansionAmplitude:
     A_value: complex
 
 
-def _grid_amplitudes(N: int, quad: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude matrix of the states at every grid point and their weights.
+def _resolution_matrix(N: int, quad: SphereQuadrature) -> np.ndarray:
+    """Grid value of (N+1) integral dOmega/(4 pi) |N,p,phi><N,p,phi| as G * S.
 
-    Returns (amps, weights): amps[g, n] are the N+1 amplitudes of the state
-    at grid point g, weights[g] the measure factor (N+1) w_k / (2 M).
+    G[n, n'] = sum_k ((N+1) w_k / 2) m_k[n] m_k[n'] over the polar rows
+    m_k = binomial_amplitudes(N, cos^2(theta_k/2)); S(d) is the average of
+    e^(i d phi_j) over the phase nodes, summed numerically so that an
+    under-resolved phase grid aliases exactly as the node-by-node sum does.
+    The CAS coefficients are the complex conjugates of these amplitudes, so
+    the CAS resolution is the conjugate of this matrix.
     """
-    phis = quad.phi_values
+    thetas, w = quad.theta_nodes[:, 0], quad.theta_nodes[:, 1]
+    rows = np.array([binomial_amplitudes(N, math.cos(t / 2.0) ** 2) for t in thetas])
+    gram = (rows.T * ((N + 1) * w / 2.0)) @ rows
+    d = np.arange(-N, N + 1)
+    phase_avg = np.exp(1j * np.outer(d, quad.phi_values)).mean(axis=1)
     n = np.arange(N + 1)
-    amps = []
-    weights = []
-    for theta, w in quad.theta_nodes:
-        p = math.cos(theta / 2.0) ** 2
-        mods = binomial_amplitudes(N, p)
-        amps.append(mods[None, :] * np.exp(1j * np.outer(phis, n)))
-        weights.append(np.full(quad.phi_count, (N + 1) * w / (2.0 * quad.phi_count)))
-    return np.concatenate(amps, axis=0), np.concatenate(weights)
+    return gram * phase_avg[n[:, None] - n + N]
 
 
 def _warn_if_under_resolved(N: int, quad: SphereQuadrature) -> None:
@@ -110,8 +122,7 @@ def identity_resolution(N: int, quad: SphereQuadrature) -> OperatorMatrix:
     UserWarning while returning the contaminated result.
     """
     _warn_if_under_resolved(N, quad)
-    amps, weights = _grid_amplitudes(N, quad)
-    return OperatorMatrix((amps.T * weights) @ amps.conj())
+    return OperatorMatrix(_resolution_matrix(N, quad))
 
 
 def expansion_amplitude(psi: StateVector, params: GbsParams) -> ExpansionAmplitude:
@@ -157,16 +168,14 @@ def reconstruct(psi: StateVector, N: int, quad: SphereQuadrature) -> StateVector
     """Re-expand a state through the over-complete basis.
 
     Evaluates (N+1) integral dOmega/(4 pi) <N,p,phi|psi> |N,p,phi> on the
-    grid; the integrand uses the overlap form of A/(1+|tau|^2)^(N/2)
-    directly, so nothing diverges near the p -> 0 edge. With
-    exactness-grade grids this is the identity map on states supported on
-    n <= N.
+    grid, as the grid's resolution matrix applied to psi; the integrand is
+    the bounded overlap form of A/(1+|tau|^2)^(N/2), so nothing diverges
+    near the p -> 0 edge. With exactness-grade grids this is the identity
+    map on states supported on n <= N.
     """
     if psi.dim > N + 1 and np.max(np.abs(psi.amp[N + 1 :])) > 1e-12:
         raise ValueError(f"state has support above n = {N}")
     _warn_if_under_resolved(N, quad)
-    amps, weights = _grid_amplitudes(N, quad)
-    coeffs = amps.conj() @ psi.amp[: N + 1]
     out = np.zeros(psi.dim, dtype=np.complex128)
-    out[: N + 1] = (weights * coeffs) @ amps
+    out[: N + 1] = _resolution_matrix(N, quad) @ psi.amp[: N + 1]
     return StateVector(out)

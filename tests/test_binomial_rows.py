@@ -20,7 +20,6 @@ from gbstates.gbs import (
     gbs_overlap,
     gbs_state,
     log_binomial,
-    orthogonal_partner,
 )
 from gbstates.hilbert import StateVector
 from gbstates.resolution import expansion_amplitude_series
@@ -135,7 +134,9 @@ def test_gbs_state_bit_equal(N, p):
 @pytest.mark.parametrize("p", P_VALUES)
 def test_gbs_overlap_bit_equal(N, p):
     a = GbsParams(N, p, 0.2)
-    for b in (GbsParams(N, 0.31, 2.1), GbsParams(N, p, 5.0), orthogonal_partner(a)):
+    # the antipodal pair is spelled out: orthogonal_partner rejects N = 0
+    antipode = GbsParams(N, 1.0 - p, 0.2 + math.pi)
+    for b in (GbsParams(N, 0.31, 2.1), GbsParams(N, p, 5.0), antipode):
         got, want = gbs_overlap(a, b), ref_gbs_overlap(a, b)
         assert (got.real, got.imag) == (want.real, want.imag)
 

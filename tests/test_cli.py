@@ -86,6 +86,12 @@ class TestOverlapAndPartner:
         assert data["p"] == pytest.approx(0.7)
         assert data["phi"] == pytest.approx(0.2 + math.pi)
 
+    def test_partner_at_zero_photons_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "partner", "-N", "0", "-p", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "no orthogonal partner" in err
+
     def test_overlap_self_is_one(self, capsys):
         _, out, _ = run_cli(
             capsys, "overlap", "-N", "4", "-p", "0.6", "--phi", "1.0",
@@ -253,6 +259,17 @@ class TestVerify:
         report = json.loads(out)
         assert [g["name"] for g in report["groups"]] == ["completeness"]
         assert report["all_passed"] is True
+
+    def test_zero_photons_passes_every_group(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-N", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["n"] == 0 and report["all_passed"] is True
+        checks = {g["name"]: [c["name"] for c in g["checks"]] for g in report["groups"]}
+        # no partner and no atom exist at N = 0: those checks are left out
+        assert "phase-covariance" in checks["gbs"]
+        assert not [name for name in checks["gbs"] if name.startswith("partner-")]
+        assert checks["bijection"] == ["gbs-cas-coefficient-match"]
 
     def test_overtight_tolerance_fails_cleanly(self, capsys):
         code, out, _ = run_cli(

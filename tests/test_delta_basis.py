@@ -44,6 +44,13 @@ def test_endpoints_are_the_orthogonal_pair():
     assert abs(inner(basis.states[0], partner)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_zero_photon_ladder_is_the_vacuum(p):
+    # N = 0 has no orthogonal partner to start the ladder from
+    assert [s.amp.tolist() for s in delta_basis(0, p, 1.2).states] == [[1.0]]
+    assert delta_state(0, 0, p, 1.2).amp.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
 def test_orthonormality_and_ladder_eigenvalues(n):
     p, phi = 0.37, 2.1

@@ -141,6 +141,10 @@ class TestPartner:
         assert back.p == pytest.approx(params.p, abs=1e-15)
         assert circular_distance(back.phi, params.phi) <= 1e-12
 
+    def test_no_partner_at_zero_photons(self):
+        with pytest.raises(ValueError, match="no orthogonal partner"):
+            orthogonal_partner(GbsParams(0, 0.3, 0.2))
+
     def test_vacuum_partner_is_number_state(self):
         partner = orthogonal_partner(GbsParams(2, 0.0, 0.0))
         assert (partner.p, partner.phi) == (1.0, pytest.approx(math.pi))

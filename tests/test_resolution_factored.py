@@ -1,0 +1,154 @@
+"""The factored resolution kernel against the grid sums it replaced.
+
+identity_resolution, reconstruct and their CAS twins used to build the
+full amplitude grid, one row per (theta_k, phi_j) node, and sum its
+projectors. The references below keep that code. The factored kernel sums
+the same finite sum in another order, so agreement is required to 1e-14
+absolute rather than bit for bit.
+"""
+
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from gbstates.cas import cas_expansion_check, cas_identity_resolution
+from gbstates.gbs import binomial_amplitudes
+from gbstates.hilbert import StateVector
+from gbstates.resolution import SphereQuadrature, identity_resolution, reconstruct
+
+ATOL = 1e-14
+
+
+def ref_grid_amplitudes(N, quad, sign):
+    """Amplitudes of every grid state (sign -1 gives the CAS coefficients)
+    and the measure factor (N+1) w_k / (2 M) of its node."""
+    phis = quad.phi_values
+    n = np.arange(N + 1)
+    amps = []
+    weights = []
+    for theta, w in quad.theta_nodes:
+        mods = binomial_amplitudes(N, math.cos(theta / 2.0) ** 2)
+        amps.append(mods[None, :] * np.exp(sign * 1j * np.outer(phis, n)))
+        weights.append(np.full(quad.phi_count, (N + 1) * w / (2.0 * quad.phi_count)))
+    return np.concatenate(amps, axis=0), np.concatenate(weights)
+
+
+def ref_identity_resolution(N, quad, sign=1):
+    amps, weights = ref_grid_amplitudes(N, quad, sign)
+    return (amps.T * weights) @ amps.conj()
+
+
+def ref_reconstruct(psi, N, quad, sign=1):
+    amps, weights = ref_grid_amplitudes(N, quad, sign)
+    coeffs = amps.conj() @ psi[: N + 1]
+    out = np.zeros(psi.size, dtype=np.complex128)
+    out[: N + 1] = (weights * coeffs) @ amps
+    return out
+
+
+def threshold_grid(N):
+    return SphereQuadrature.build(math.ceil((N + 1) / 2), N + 1)
+
+
+N_VALUES = (0, 1, 2, 3, 12, 64, 128)
+CASES = (
+    [(N, "default", SphereQuadrature.default_for) for N in N_VALUES]
+    + [(N, "threshold", threshold_grid) for N in N_VALUES]
+    + [
+        (3, "phi-under-resolved", lambda N: SphereQuadrature.build(4, 2)),
+        (12, "phi-under-resolved", lambda N: SphereQuadrature.build(4, 2)),
+        (9, "theta-under-resolved", lambda N: SphereQuadrature.build(2, 12)),
+        (12, "theta-under-resolved", lambda N: SphereQuadrature.build(2, 12)),
+    ]
+)
+IDS = [f"N{N}-{kind}" for N, kind, _ in CASES]
+
+
+def random_state(rng, N, dim):
+    v = np.zeros(dim, dtype=np.complex128)
+    v[: N + 1] = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("N, kind, make", CASES, ids=IDS)
+def test_matrices_match_grid_sum(N, kind, make):
+    quad = make(N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gbs_res = identity_resolution(N, quad).entries
+        cas_res = cas_identity_resolution(N / 2.0, quad).entries
+    assert np.abs(gbs_res - ref_identity_resolution(N, quad)).max() <= ATOL
+    assert np.abs(cas_res - ref_identity_resolution(N, quad, sign=-1)).max() <= ATOL
+
+
+@pytest.mark.parametrize("N, kind, make", CASES, ids=IDS)
+def test_reconstructions_match_grid_sum(N, kind, make):
+    quad = make(N)
+    rng = np.random.default_rng(N)
+    for dim in (N + 1, N + 4):
+        psi = random_state(rng, N, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = reconstruct(StateVector(psi), N, quad).amp
+        assert out.size == dim
+        assert np.abs(out - ref_reconstruct(psi, N, quad)).max() <= ATOL
+    psi = random_state(rng, N, N + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = cas_expansion_check(N / 2.0, StateVector(psi), quad).amp
+    assert np.abs(out - ref_reconstruct(psi, N, quad, sign=-1)).max() <= ATOL
+
+
+@pytest.mark.parametrize("N", N_VALUES)
+def test_cas_resolution_is_exact_conjugate(N):
+    quad = SphereQuadrature.default_for(N)
+    cas_res = cas_identity_resolution(N / 2.0, quad).entries
+    assert np.array_equal(cas_res, identity_resolution(N, quad).entries.conj())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: identity_resolution(3, q),
+        lambda q: reconstruct(StateVector(np.eye(4)[0]), 3, q),
+        lambda q: cas_identity_resolution(1.5, q),
+        lambda q: cas_expansion_check(1.5, StateVector(np.eye(4)[0]), q),
+    ],
+    ids=["identity_resolution", "reconstruct", "cas_identity_resolution", "cas_expansion_check"],
+)
+def test_under_resolved_warning_points_at_the_caller(call):
+    with pytest.warns(UserWarning, match="under-resolved for N=3") as record:
+        call(SphereQuadrature.build(4, 2))
+    assert [w.filename for w in record] == [__file__]
+
+
+def traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 1e6
+
+
+def test_identity_resolution_n512_memory_and_off_diagonal():
+    # the amplitude grid alone was 1.04 GiB here; diagonal roundoff of the
+    # Gauss-Legendre rule exceeds 1e-12 at some N and is not gated here
+    N = 512
+    res, peak_mb = traced_peak_mb(lambda: identity_resolution(N, SphereQuadrature.default_for(N)))
+    assert peak_mb < 64.0
+    off_diag = res.entries - np.diag(np.diag(res.entries))
+    assert np.abs(off_diag).max() <= 1e-14
+
+
+def test_reconstruct_n1000_memory_and_round_trip():
+    N = 1000
+    psi = random_state(np.random.default_rng(5), N, N + 1)
+    quad = SphereQuadrature.default_for(N)
+    out, peak_mb = traced_peak_mb(lambda: reconstruct(StateVector(psi), N, quad))
+    assert peak_mb < 160.0
+    assert np.abs(out.amp - psi).max() <= 1e-10

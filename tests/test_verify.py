@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
+from gbstates import resolution
 from gbstates.verify import GROUPS, VerifyConfig, run_verification
 
 
@@ -55,3 +57,27 @@ def test_diagnostic_without_bound_serialises_as_strict_json():
 def test_bad_tolerance_rejected_before_any_group_runs(tolerance):
     with pytest.raises(ValueError, match="tolerance"):
         run_verification(VerifyConfig(tolerance=tolerance, groups=("appendix",)))
+
+
+def _warned_check(report):
+    (check,) = [
+        c for c in report["groups"][0]["checks"] if c["name"] == "under-resolved-grid-warned"
+    ]
+    return check
+
+
+def test_under_resolved_warning_is_report_data():
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        report = run_verification(VerifyConfig(groups=("completeness",), n=3))
+    assert leaked == []
+    check = _warned_check(report)
+    assert check["passed"] is True and check["value"] >= 1
+    assert all("under-resolved for N=3" in msg for msg in check["warnings"])
+
+
+def test_missing_under_resolved_warning_fails_the_check(monkeypatch):
+    monkeypatch.setattr(resolution, "_warn_if_under_resolved", lambda N, quad: None)
+    report = run_verification(VerifyConfig(groups=("completeness",), n=3))
+    check = _warned_check(report)
+    assert check["passed"] is False and check["warnings"] == []
