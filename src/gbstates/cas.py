@@ -1,13 +1,14 @@
 """Coherent atomic states of N two-level atoms and their collective algebra.
 
-Everything the field-state modules use abstractly is realized here
-concretely: collective spin operators on the (2J+1)-dimensional Dicke
-ladder, the same operators on the full 2^N product space as a brute-force
-oracle, coherent atomic states |theta, varphi>, the disentangling theorem
-for the Bloch rotation, rotated operators, the overlap law and the CAS
+Collective spin operators on the (2J+1)-dimensional Dicke ladder, the
+same operators on the full 2^N product space as a brute-force oracle,
+coherent atomic states |theta, varphi>, the disentangling theorem for the
+Bloch rotation, rotated operators, the overlap law and the CAS
 over-complete basis. The Dicke ladder is ordered |J, -J+n>, n = 0..2J, so
 a set of coefficients here compares index-by-index with field amplitudes
-over |n>.
+over |n>. Its operators, rotation and rotated set are the HP ones of
+gbstates.hp_algebra at N = 2J under p = cos^2(theta/2), phi = 2*pi - varphi;
+cas_state and the oracles are computed independently.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .gbs import BlochAngles, binomial_amplitudes, log_binomial
-from .hilbert import OperatorMatrix, StateVector, adjoint, expm
+from .hilbert import OperatorMatrix, StateVector
+from .hp_algebra import PseudoSpinSet, RotationSpec, _rotated_set, hp_operators
+from .hp_algebra import rotation_operator
 from .resolution import SphereQuadrature, _resolution_matrix, _warn_if_under_resolved
 
 MAX_TENSOR_ATOMS = 12
@@ -34,15 +37,8 @@ def _check_half_integer(J) -> int:
     return int(round(two_j))
 
 
-@dataclass(frozen=True)
-class SpinJOperators:
-    """Collective spin operators restricted to one irreducible J block."""
-
-    J: float
-    Jz: OperatorMatrix
-    Jplus: OperatorMatrix
-    Jminus: OperatorMatrix
-    Jsq: OperatorMatrix
+# collective spin operators on one irreducible J block: the HP set at N = 2J
+SpinJOperators = PseudoSpinSet
 
 
 @dataclass(frozen=True)
@@ -70,18 +66,8 @@ class CasParams:
 
 
 def spin_j_operators(J) -> SpinJOperators:
-    """Standard ladder operators on the basis |J, -J+n>, n = 0..2J."""
-    two_j = _check_half_integer(J)
-    dim = two_j + 1
-    n = np.arange(dim)
-    jz = OperatorMatrix(np.diag((n - two_j / 2.0).astype(np.complex128)))
-    up = np.zeros((dim, dim), dtype=np.complex128)
-    k = np.arange(two_j)
-    up[k + 1, k] = np.sqrt((two_j - k) * (k + 1.0))
-    jplus = OperatorMatrix(up)
-    jminus = adjoint(jplus)
-    jsq = jz @ jz + 0.5 * (jplus @ jminus + jminus @ jplus)
-    return SpinJOperators(two_j / 2.0, jz, jplus, jminus, jsq)
+    """Standard ladder operators on the basis |J, -J+n>, n = 0..2J: hp_operators(2J)."""
+    return hp_operators(_check_half_integer(J))
 
 
 def _kron_chain(factors) -> np.ndarray:
@@ -155,10 +141,15 @@ def cas_state(params: CasParams) -> StateVector:
 
     coeff_n = sqrt(C(2J,n)) cos(theta/2)^n sin(theta/2)^(2J-n) e^(-i n varphi);
     theta = 0 gives the top Dicke state |J,J>, theta = pi the ground |J,-J>.
+    Below theta = pi/2 the moduli are the mirrored row of sin^2(theta/2),
+    which keeps its digits near theta = 0 where 1 - cos^2(theta/2) loses them.
     """
     two_j = _check_half_integer(params.J)
-    p = math.cos(params.angles.theta / 2.0) ** 2
-    mods = binomial_amplitudes(two_j, p)
+    half = params.angles.theta / 2.0
+    if half < math.pi / 4.0:
+        mods = binomial_amplitudes(two_j, math.sin(half) ** 2)[::-1]
+    else:
+        mods = binomial_amplitudes(two_j, math.cos(half) ** 2)
     n = np.arange(two_j + 1)
     amp = mods * np.exp(-1j * n * params.angles.varphi)
     amp /= np.linalg.norm(amp)
@@ -166,10 +157,9 @@ def cas_state(params: CasParams) -> StateVector:
 
 
 def rotation_operator_spin(J, angles: BlochAngles) -> OperatorMatrix:
-    """Bloch rotation exp(-xi Jplus + xi* Jminus) with xi = (theta/2) e^(-i varphi)."""
-    ops = spin_j_operators(J)
-    xi = (angles.theta / 2.0) * cmath.exp(-1j * angles.varphi)
-    return expm((-xi) * ops.Jplus + np.conj(xi) * ops.Jminus)
+    """Bloch rotation exp(-xi Jplus + xi* Jminus) with xi = (theta/2) e^(-i varphi),
+    the HP rotation_operator at N = 2J."""
+    return rotation_operator(_check_half_integer(J), RotationSpec.from_angles(angles))
 
 
 def _nilpotent_exp(x, ladder, order: int):
@@ -238,21 +228,12 @@ def rotated_cas_operators(J, angles: BlochAngles) -> SpinJOperators:
     Jz'   = Jz cos(theta) + sin(theta) (J+ e^(-i varphi) + J- e^(i varphi)) / 2
     Jplus'= e^(i varphi) (J+ e^(-i varphi) cos^2(theta/2)
             - J- e^(i varphi) sin^2(theta/2) - Jz sin(theta))
+
+    The HP rotated_operators at N = 2J, p = cos^2(theta/2), phi = 2*pi - varphi.
     """
-    ops = spin_j_operators(J)
-    th = angles.theta
-    eph = cmath.exp(1j * angles.varphi)
-    jzp = math.cos(th) * ops.Jz + (math.sin(th) / 2.0) * (
-        np.conj(eph) * ops.Jplus + eph * ops.Jminus
-    )
-    jplusp = eph * (
-        math.cos(th / 2.0) ** 2 * np.conj(eph) * ops.Jplus
-        - math.sin(th / 2.0) ** 2 * eph * ops.Jminus
-        - math.sin(th) * ops.Jz
-    )
-    jminusp = adjoint(jplusp)
-    jsqp = jzp @ jzp + 0.5 * (jplusp @ jminusp + jminusp @ jplusp)
-    return SpinJOperators(ops.J, jzp, jplusp, jminusp, jsqp)
+    two_j, half = _check_half_integer(J), angles.theta / 2.0
+    eph = cmath.exp(-1j * angles.varphi)
+    return _rotated_set(two_j, math.cos(half) ** 2, math.sin(half) ** 2, eph)
 
 
 def cas_overlap_modulus_sq(J, a: BlochAngles, b: BlochAngles) -> float:

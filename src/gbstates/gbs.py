@@ -175,8 +175,9 @@ def orthogonal_partner(params: GbsParams) -> GbsParams:
 
 
 def params_to_angles(params: GbsParams) -> BlochAngles:
-    """Bloch direction of a state: theta = 2*arccos(sqrt(p)), varphi = 2*pi - phi."""
-    theta = 2.0 * math.acos(math.sqrt(params.p))
+    """Bloch direction of a state: theta = 2*arccos(sqrt(p)), varphi = 2*pi - phi,
+    with theta taken as 2*atan2(sqrt(1-p), sqrt(p)) to keep its digits as p -> 1."""
+    theta = 2.0 * math.atan2(math.sqrt(1.0 - params.p), math.sqrt(params.p))
     return BlochAngles(theta, TWO_PI - params.phi)
 
 

@@ -5,6 +5,10 @@ a spin-N/2 ladder: J3 = a'a - N/2, Jplus = a' sqrt(N - a'a) and its
 adjoint. A generalized binomial state is the rotated top rung of that
 ladder, so the rotation operator, the rotated (primed) operator set and
 the operator linking two such states all live here.
+
+The atomic side (gbstates.cas) uses this ladder as its Dicke ladder, J = N/2:
+its operators, rotation and rotated set are the ones here under the paper's
+map p = cos^2(theta/2), phi = 2*pi - varphi.
 """
 
 from __future__ import annotations
@@ -21,13 +25,26 @@ from .hilbert import OperatorMatrix, adjoint, expm
 
 @dataclass(frozen=True)
 class PseudoSpinSet:
-    """J3, Jplus, Jminus and the Casimir on the (N+1)-dimensional space."""
+    """J3, Jplus, Jminus on the (N+1)-dim ladder; J = N/2 and Jz = J3 are the atomic names."""
 
     N: int
     J3: OperatorMatrix
     Jplus: OperatorMatrix
     Jminus: OperatorMatrix
-    Jsq: OperatorMatrix
+
+    @property
+    def J(self) -> float:
+        return self.N / 2.0
+
+    @property
+    def Jz(self) -> OperatorMatrix:
+        return self.J3
+
+    @property
+    def Jsq(self) -> OperatorMatrix:
+        """The Casimir J3^2 + (Jplus Jminus + Jminus Jplus)/2, computed on each read."""
+        j3, jp, jm = self.J3, self.Jplus, self.Jminus
+        return j3 @ j3 + 0.5 * (jp @ jm + jm @ jp)
 
 
 @dataclass(frozen=True)
@@ -60,16 +77,18 @@ def hp_operators(N: int) -> PseudoSpinSet:
     k = np.arange(N)
     up[k + 1, k] = np.sqrt((N - k) * (k + 1.0))
     jplus = OperatorMatrix(up)
-    jminus = adjoint(jplus)
-    jsq = j3 @ j3 + 0.5 * (jplus @ jminus + jminus @ jplus)
-    return PseudoSpinSet(N, j3, jplus, jminus, jsq)
+    return PseudoSpinSet(N, j3, jplus, adjoint(jplus))
+
+
+def _ladder_rotation(N: int, eta: complex) -> OperatorMatrix:
+    """exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder, for any complex eta."""
+    ops = hp_operators(N)
+    return expm((-eta) * ops.Jplus + np.conj(eta) * ops.Jminus)
 
 
 def rotation_operator(N: int, spec: RotationSpec) -> OperatorMatrix:
     """Bloch rotation exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder."""
-    ops = hp_operators(N)
-    gen = (-spec.eta) * ops.Jplus + np.conj(spec.eta) * ops.Jminus
-    return expm(gen)
+    return _ladder_rotation(N, spec.eta)
 
 
 def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:
@@ -85,18 +104,21 @@ def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
+    return _rotated_set(N, p, 1.0 - p, cmath.exp(1j * phi))
+
+
+def _rotated_set(N: int, p: float, q: float, ephi: complex) -> PseudoSpinSet:
+    """rotated_operators with q = 1 - p and ephi = e^(i phi) given, so a caller holding
+    theta passes q = sin^2(theta/2): near p = 1, 1 - p has lost those digits."""
     ops = hp_operators(N)
-    root = math.sqrt(p * (1.0 - p))
-    ephi = cmath.exp(1j * phi)
+    root = math.sqrt(p * q)
     j3p = (2.0 * p - 1.0) * ops.J3 + root * (ephi * ops.Jplus + np.conj(ephi) * ops.Jminus)
     jplusp = np.conj(ephi) * (
         p * ephi * ops.Jplus
-        - (1.0 - p) * np.conj(ephi) * ops.Jminus
+        - q * np.conj(ephi) * ops.Jminus
         - 2.0 * root * ops.J3
     )
-    jminusp = adjoint(jplusp)
-    jsqp = j3p @ j3p + 0.5 * (jplusp @ jminusp + jminusp @ jplusp)
-    return PseudoSpinSet(N, j3p, jplusp, jminusp, jsqp)
+    return PseudoSpinSet(N, j3p, jplusp, adjoint(jplusp))
 
 
 def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:
@@ -134,13 +156,11 @@ def composition_residual(N: int, a: BlochAngles, b: BlochAngles) -> float:
     Diagnostic only: reports how far the closed-form composition law is
     from the exact operator product for the given pair of directions.
     """
-    ops = hp_operators(N)
     ra = rotation_operator(N, RotationSpec.from_angles(a))
     rb = rotation_operator(N, RotationSpec.from_angles(b))
     t = rb @ adjoint(ra)
     big_theta, big_phi, phase = composition_angles(a, b)
-    # Theta may exceed pi, so build the generator directly instead of
-    # round-tripping through BlochAngles validation
-    eta = (big_theta / 2.0) * cmath.exp(-1j * big_phi)
-    r_comp = expm((-eta) * ops.Jplus + np.conj(eta) * ops.Jminus)
+    # Theta may exceed pi, so pass eta directly instead of round-tripping
+    # through BlochAngles validation
+    r_comp = _ladder_rotation(N, (big_theta / 2.0) * cmath.exp(-1j * big_phi))
     return float(np.linalg.norm(t.entries - phase * r_comp.entries))

@@ -144,8 +144,9 @@ def group_gbs(cfg: VerifyConfig) -> dict:
     if not has_partner:
         return _group("gbs", [c for c in checks if not c["name"].startswith("partner-")])
     # uniqueness of the orthogonal partner: on a 1e-2 grid over (p', phi'),
-    # the overlap only dips to zero inside a 0.05 ball around the partner
-    a = GbsParams(4, 0.37, 1.1) if cfg.n is None else _random_params(rng, n_fixed=min(cfg.n, 6))
+    # the overlap only dips to zero inside a 0.05 ball around the partner;
+    # outside it the minimum falls like 0.025^N, below 1e-8 from N = 5 on
+    a = GbsParams(4, 0.37, 1.1) if cfg.n is None else _random_params(rng, n_fixed=min(cfg.n, 4))
     partner = gbs.orthogonal_partner(a)
     p_grid = np.linspace(0.0, 1.0, 101)
     f_grid = np.arange(0.0, TWO_PI, 0.01)
@@ -366,16 +367,10 @@ def group_delta(cfg: VerifyConfig) -> dict:
 
 
 def _phi_support(n: int, phi_grid: np.ndarray, p_grid: np.ndarray) -> np.ndarray:
-    best = np.full(phi_grid.size, -np.inf)
-    for p in p_grid:
-        terms = squeezing.squeezing_terms(n, float(p))
-        s_x = (
-            -2.0 * n * p
-            - terms.A_term * np.cos(2.0 * phi_grid)
-            + terms.B_term ** 2 * np.cos(phi_grid) ** 2
-        )
-        best = np.maximum(best, s_x)
-    return best > 0.0
+    """Cells of phi_grid where S_X > 0 for some p in p_grid."""
+    rows = squeezing.squeeze_scan(n, p_grid, phi_grid)
+    s_x = np.array([row.S_X for row in rows]).reshape(len(p_grid), len(phi_grid))
+    return s_x.max(axis=0) > 0.0
 
 
 def group_squeezing(cfg: VerifyConfig) -> dict:

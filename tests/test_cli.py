@@ -271,6 +271,12 @@ class TestVerify:
         assert not [name for name in checks["gbs"] if name.startswith("partner-")]
         assert checks["bijection"] == ["gbs-cas-coefficient-match"]
 
+    @pytest.mark.parametrize("n", ["5", "12"])
+    def test_single_n_passes_every_group(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify", "-N", n)
+        assert code == 0
+        assert json.loads(out)["all_passed"] is True
+
     def test_overtight_tolerance_fails_cleanly(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--group", "gbs", "--tolerance", "1e-16"

@@ -1,0 +1,128 @@
+"""Property tests over the parameter ranges the API accepts.
+
+Vector paths run over N in [0, 1000], p in [0, 1] and phi in [-1e6, 1e6];
+matrix paths over 2J <= 64. The atomic-side operators are the
+Holstein-Primakoff ones under p = cos^2(theta/2), phi = 2*pi - varphi, so
+they are compared with the field side bit for bit where the arithmetic is
+shared, and with the theta-literal formulas otherwise.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gbstates.cas import (
+    CasParams,
+    SpinJOperators,
+    cas_state,
+    rotated_cas_operators,
+    rotation_operator_spin,
+    spin_j_operators,
+)
+from gbstates.gbs import (
+    BlochAngles,
+    GbsParams,
+    gbs_overlap,
+    gbs_state,
+    orthogonal_partner,
+    params_to_angles,
+)
+from gbstates.hilbert import adjoint
+from gbstates.hp_algebra import (
+    PseudoSpinSet,
+    RotationSpec,
+    hp_operators,
+    rotated_operators,
+    rotation_operator,
+)
+
+photons = st.integers(0, 1000)
+probabilities = st.floats(0.0, 1.0)
+phases = st.floats(-1e6, 1e6)
+two_spins = st.integers(0, 64)
+angles = st.builds(BlochAngles, st.floats(0.0, math.pi), phases)
+
+
+def literal_rotated_cas(J, a: BlochAngles):
+    """Jz' and Jplus' from the theta-literal formulas, the reference for the HP map."""
+    ops = spin_j_operators(J)
+    th = a.theta
+    eph = cmath.exp(1j * a.varphi)
+    jzp = math.cos(th) * ops.Jz + (math.sin(th) / 2.0) * (
+        np.conj(eph) * ops.Jplus + eph * ops.Jminus
+    )
+    jplusp = eph * (
+        math.cos(th / 2.0) ** 2 * np.conj(eph) * ops.Jplus
+        - math.sin(th / 2.0) ** 2 * eph * ops.Jminus
+        - math.sin(th) * ops.Jz
+    )
+    return jzp, jplusp
+
+
+def casimir_dev(ops: PseudoSpinSet) -> float:
+    j = ops.N / 2.0
+    return float(np.abs(ops.Jsq.entries - j * (j + 1.0) * np.eye(ops.N + 1)).max())
+
+
+@settings(deadline=None)
+@given(photons, probabilities, phases)
+def test_state_is_normalized(N, p, phi):
+    assert abs(gbs_state(GbsParams(N, p, phi)).norm() - 1.0) <= 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(1, 1000), probabilities, phases)
+def test_partner_is_orthogonal(N, p, phi):
+    prm = GbsParams(N, p, phi)
+    assert abs(gbs_overlap(prm, orthogonal_partner(prm))) <= 1e-12
+
+
+@settings(deadline=None)
+@given(photons, probabilities, phases)
+@example(1, 1.0 - 2.0 ** -53, 0.0)
+def test_gbs_cas_coefficient_map(N, p, phi):
+    prm = GbsParams(N, p, phi)
+    atomic = cas_state(CasParams(N / 2.0, params_to_angles(prm)))
+    assert np.abs(atomic.amp - gbs_state(prm).amp).max() <= 1e-12
+
+
+def test_spin_j_set_is_the_hp_set():
+    assert SpinJOperators is PseudoSpinSet
+
+
+@settings(deadline=None)
+@given(two_spins)
+def test_spin_j_operators_equal_hp_operators(two_j):
+    atomic, field = spin_j_operators(two_j / 2.0), hp_operators(two_j)
+    assert atomic.J == two_j / 2.0 and atomic.Jz is atomic.J3
+    for name in ("J3", "Jplus", "Jminus"):
+        np.testing.assert_array_equal(getattr(atomic, name).entries, getattr(field, name).entries)
+
+
+@settings(deadline=None)
+@given(two_spins, angles)
+def test_rotation_operator_spin_is_bit_equal(two_j, a):
+    np.testing.assert_array_equal(
+        rotation_operator_spin(two_j / 2.0, a).entries,
+        rotation_operator(two_j, RotationSpec.from_angles(a)).entries,
+    )
+
+
+@settings(deadline=None)
+@given(two_spins, angles)
+def test_rotated_cas_operators_match_theta_literal(two_j, a):
+    rot = rotated_cas_operators(two_j / 2.0, a)
+    jzp, jplusp = literal_rotated_cas(two_j / 2.0, a)
+    for got, ref in ((rot.Jz, jzp), (rot.Jplus, jplusp), (rot.Jminus, adjoint(jplusp))):
+        assert np.abs(got.entries - ref.entries).max() <= 1e-14 * np.abs(ref.entries).max()
+
+
+@settings(deadline=None)
+@given(two_spins, probabilities, phases, angles)
+def test_casimir_is_scalar_on_raw_and_rotated_sets(two_j, p, phi, a):
+    assert casimir_dev(hp_operators(two_j)) <= 1e-12
+    assert casimir_dev(rotated_operators(two_j, p, phi)) <= 1e-12
+    assert casimir_dev(rotated_cas_operators(two_j / 2.0, a)) <= 1e-12
