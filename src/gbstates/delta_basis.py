@@ -1,28 +1,51 @@
 """Orthonormal ladder basis interpolating between two orthogonal states.
 
-Repeatedly applying the rotated raising operator to |N, 1-p, phi+pi>
-climbs through N+1 mutually orthogonal field states, the eigenvectors of
-the rotated J3' with eigenvalues m - N/2. The bottom and top rungs are the
-two orthogonal generalized binomial states themselves.
+The Delta states are the eigenvectors of the rotated J3', eigenvalues
+m - N/2 for m = 0..N, from the orthogonal partner (m = 0) up to |N, p, phi>
+(m = N). The similarity diag(e^(-i n phi)) makes J3' real symmetric
+tridiagonal, so one eigh_tridiagonal call gives the ladder: the full basis
+in O(N^2) time and memory, the one state of delta_state in O(N) memory.
+Each state's first non-negligible amplitude is real positive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import GbsParams, gbs_state, log_binomial, orthogonal_partner
+from .gbs import GbsParams
 from .hilbert import StateVector
-from .hp_algebra import rotated_operators
+from .hp_algebra import _rotated_j3_bands
 
 
-def _fix_phase(amp: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible amplitude real positive."""
-    mags = np.abs(amp)
-    idx = int(np.argmax(mags > 1e-10 * mags.max()))
-    return amp * np.conj(amp[idx] / mags[idx])
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Make the first non-negligible amplitude of each column real positive."""
+    mags = np.abs(vecs)
+    idx = np.argmax(mags > 1e-10 * mags.max(axis=0), axis=0)
+    cols = np.arange(vecs.shape[1])
+    return vecs * np.conj(vecs[idx, cols] / mags[idx, cols])
+
+
+def _ladder(prm: GbsParams, m: int | None = None) -> np.ndarray:
+    """Delta states m = 0..N, or the state m alone, as the columns of an array."""
+    N, p = prm.N, prm.p
+    cols = np.arange(N + 1) if m is None else np.array([m])
+    if N == 0 or p in (0.0, 1.0):
+        # R is the identity (p=1) or an inversion (p=0): the number basis, possibly
+        # reversed; at N = 0 the vacuum alone, which has no orthogonal partner
+        vecs = np.zeros((N + 1, cols.size), dtype=np.complex128)
+        vecs[cols if p == 1.0 else N - cols, np.arange(cols.size)] = 1.0
+        return vecs
+    from scipy.linalg import eigh_tridiagonal
+
+    select = {} if m is None else {"select": "i", "select_range": (m, m)}
+    _, vecs = eigh_tridiagonal(*_rotated_j3_bands(N, p, 1.0 - p), **select)  # ascending m
+    # e^(i n phi) from a 24-bit head of phi, whose products n * head are exact
+    # for N < 2^29: rounding n * phi would shift each phase by up to N phi eps
+    n, head = np.arange(N + 1.0), float(np.float32(prm.phi))
+    ramp = np.exp(1j * (n * head)) * np.exp(1j * (n * (prm.phi - head)))
+    return _fix_phase(ramp[:, None] * vecs)
 
 
 @dataclass(frozen=True)
@@ -36,45 +59,14 @@ class DeltaBasis:
 
 
 def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
-    """Build the full ladder by the normalized raising recursion.
-
-    states[0] is the orthogonal-partner state and states[N] the state
-    |N, p, phi| itself; every state is renormalized against roundoff and
-    phase-fixed so its first nonzero amplitude is real positive.
-    """
-    if N == 0 or p in (0.0, 1.0):
-        # the rotation degenerates to the identity (p=1) or an inversion
-        # (p=0): the ladder is the number basis, possibly reversed; at
-        # N = 0 it is the vacuum alone, which has no orthogonal partner
-        order = range(N + 1) if p == 1.0 else range(N, -1, -1)
-        states = []
-        for m in order:
-            amp = np.zeros(N + 1, dtype=np.complex128)
-            amp[m] = 1.0
-            states.append(StateVector(amp))
-        return DeltaBasis(N, p, phi, tuple(states))
-
-    raising = rotated_operators(N, p, phi).Jplus.entries
-    amp = gbs_state(orthogonal_partner(GbsParams(N, p, phi))).amp
-    ladder = [amp]
-    for m in range(1, N + 1):
-        amp = raising @ amp / math.sqrt(m * (N - m + 1))
-        amp = amp / np.linalg.norm(amp)
-        ladder.append(amp)
-    states = tuple(StateVector(_fix_phase(a)) for a in ladder)
-    return DeltaBasis(N, p, phi, states)
+    """The full ladder from one eigensolve; phi is kept as given, bad input is a ValueError."""
+    vecs = _ladder(GbsParams(N, p, phi))
+    return DeltaBasis(N, p, phi, tuple(StateVector(v) for v in vecs.T))
 
 
 def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
-    """Single ladder state from the closed form C(N,m)^(-1/2) (Jplus')^m / m!."""
+    """Ladder state m alone, the eigenvector of J3' for m - N/2, in O(N) memory."""
+    prm = GbsParams(N, p, phi)
     if not 0 <= m <= N:
         raise ValueError(f"ladder index m={m} outside [0, {N}]")
-    if N == 0 or p in (0.0, 1.0):
-        return delta_basis(N, p, phi).states[m]
-    raising = rotated_operators(N, p, phi).Jplus.entries
-    amp = gbs_state(orthogonal_partner(GbsParams(N, p, phi))).amp
-    for k in range(1, m + 1):
-        amp = raising @ amp / k  # accumulates (Jplus')^m / m!
-    amp = amp * math.exp(-0.5 * log_binomial(N, m))
-    amp = amp / np.linalg.norm(amp)
-    return StateVector(_fix_phase(amp))
+    return StateVector(_ladder(prm, m)[:, 0])

@@ -111,14 +111,20 @@ def _rotated_set(N: int, p: float, q: float, ephi: complex) -> PseudoSpinSet:
     """rotated_operators with q = 1 - p and ephi = e^(i phi) given, so a caller holding
     theta passes q = sin^2(theta/2): near p = 1, 1 - p has lost those digits."""
     ops = hp_operators(N)
-    root = math.sqrt(p * q)
-    j3p = (2.0 * p - 1.0) * ops.J3 + root * (ephi * ops.Jplus + np.conj(ephi) * ops.Jminus)
+    diag, off = _rotated_j3_bands(N, p, q)
+    j3p = np.diag(diag + 0j) + np.diag(ephi * off, -1) + np.diag(np.conj(ephi) * off, 1)
     jplusp = np.conj(ephi) * (
         p * ephi * ops.Jplus
         - q * np.conj(ephi) * ops.Jminus
-        - 2.0 * root * ops.J3
+        - 2.0 * math.sqrt(p * q) * ops.J3
     )
-    return PseudoSpinSet(N, j3p, jplusp, adjoint(jplusp))
+    return PseudoSpinSet(N, OperatorMatrix(j3p), jplusp, adjoint(jplusp))
+
+
+def _rotated_j3_bands(N: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the real symmetric T with J3' = D T D^(-1), D = diag(e^(i n phi))."""
+    n, k = np.arange(N + 1), np.arange(N)
+    return (2.0 * p - 1.0) * (n - N / 2.0), math.sqrt(p * q) * np.sqrt((N - k) * (k + 1.0))
 
 
 def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:

@@ -125,6 +125,19 @@ def identity_resolution(N: int, quad: SphereQuadrature) -> OperatorMatrix:
     return OperatorMatrix(_resolution_matrix(N, quad))
 
 
+def _tau_growth(psi: StateVector, params: GbsParams) -> float:
+    """(1 + |tau|^2)^(N/2) = p^(-N/2), once psi, p = 0 and the double range are checked."""
+    N, p = params.N, params.p
+    if psi.dim < N + 1:
+        raise ValueError(f"state dimension {psi.dim} below N+1 = {N + 1}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("the tau parameterization needs 0 < p <= 1")
+    try:
+        return p ** (-N / 2.0)
+    except OverflowError:
+        raise ValueError(f"p^(-N/2) overflows a double at N={N}, p={p}") from None
+
+
 def expansion_amplitude(psi: StateVector, params: GbsParams) -> ExpansionAmplitude:
     """Amplitude function of a state in the over-complete basis.
 
@@ -133,13 +146,8 @@ def expansion_amplitude(psi: StateVector, params: GbsParams) -> ExpansionAmplitu
     pole of tau is never needed: quadrature paths use the bounded overlap
     form throughout).
     """
-    N = params.N
-    if psi.dim < N + 1:
-        raise ValueError(f"state dimension {psi.dim} below N+1 = {N + 1}")
-    if not 0.0 < params.p <= 1.0:
-        raise ValueError("the tau parameterization needs 0 < p <= 1")
+    prefactor = _tau_growth(psi, params)
     tau = cmath.exp(1j * params.phi) * math.sqrt((1.0 - params.p) / params.p)
-    prefactor = params.p ** (-N / 2.0)  # equals (1 + |tau|^2)^(N/2)
     a_value = prefactor * inner(gbs_state(params, psi.dim), psi)
     return ExpansionAmplitude(tau, a_value)
 
@@ -150,10 +158,7 @@ def expansion_amplitude_series(psi: StateVector, params: GbsParams) -> complex:
     Independent of the overlap route; the two agree to ~1e-10 relative.
     """
     N = params.N
-    if psi.dim < N + 1:
-        raise ValueError(f"state dimension {psi.dim} below N+1 = {N + 1}")
-    if not 0.0 < params.p <= 1.0:
-        raise ValueError("the tau parameterization needs 0 < p <= 1")
+    _tau_growth(psi, params)  # each coefficient is at most this bound
     c = psi.amp[: N + 1]
     if params.p == 1.0:
         # |tau| = 0: only the n = N monomial survives

@@ -115,6 +115,15 @@ class TestBasis:
         )
         np.testing.assert_allclose(mid, expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv", [("-N", "-1", "-p", "0.3"), ("-N", "3", "-p", "nan"), ("-N", "3", "-p", "1.5")]
+    )
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "basis", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_csv_rows(self, capsys):
         _, out, _ = run_cli(
             capsys, "basis", "-N", "1", "-p", "0.5", "--format", "csv"
@@ -276,6 +285,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "-N", n)
         assert code == 0
         assert json.loads(out)["all_passed"] is True
+
+    def test_amplitude_out_of_double_range_is_usage_error(self, capsys):
+        # p^(-N/2) overflows for p below about 0.058 at N = 500
+        code, out, err = run_cli(capsys, "verify", "-N", "500", "--group", "completeness")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "N=500" in err
+        assert "Traceback" not in err
 
     def test_overtight_tolerance_fails_cleanly(self, capsys):
         code, out, _ = run_cli(

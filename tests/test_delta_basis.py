@@ -1,12 +1,18 @@
-"""Tests for the orthonormal ladder basis between two orthogonal states."""
+"""Tests for the orthonormal ladder basis between two orthogonal states.
+
+The ladder is one tridiagonal eigensolve. The earlier builds, a normalized
+raising recursion for the basis and the (Jplus')^m / m! closed form for a
+single state, are kept here as references.
+"""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from gbstates.delta_basis import delta_basis, delta_state
-from gbstates.gbs import GbsParams, gbs_state, orthogonal_partner
+from gbstates.delta_basis import _fix_phase, delta_basis, delta_state
+from gbstates.gbs import GbsParams, gbs_state, log_binomial, orthogonal_partner
 from gbstates.hilbert import basis_state, inner
 from gbstates.hp_algebra import RotationSpec, rotated_operators, rotation_operator
 
@@ -120,3 +126,119 @@ def test_phase_convention_first_amplitude_real_positive():
         lead = s.amp[np.argmax(np.abs(s.amp) > 1e-10)]
         assert abs(lead.imag) <= 1e-12
         assert lead.real > 0
+
+
+def reference_ladder(N, p, phi):
+    """The normalized raising recursion from the orthogonal partner, rows m = 0..N."""
+    if N == 0 or p in (0.0, 1.0):
+        order = range(N + 1) if p == 1.0 else range(N, -1, -1)
+        return np.eye(N + 1, dtype=np.complex128)[list(order)]
+    raising = rotated_operators(N, p, phi).Jplus.entries
+    amp = gbs_state(orthogonal_partner(GbsParams(N, p, phi))).amp
+    ladder = [amp]
+    for m in range(1, N + 1):
+        amp = raising @ amp / math.sqrt(m * (N - m + 1))
+        amp = amp / np.linalg.norm(amp)
+        ladder.append(amp)
+    return _fix_phase(np.array(ladder).T).T
+
+
+def reference_state(N, m, p, phi):
+    """The closed form C(N,m)^(-1/2) (Jplus')^m / m! on the orthogonal partner."""
+    if N == 0 or p in (0.0, 1.0):
+        return reference_ladder(N, p, phi)[m]
+    raising = rotated_operators(N, p, phi).Jplus.entries
+    amp = gbs_state(orthogonal_partner(GbsParams(N, p, phi))).amp
+    for k in range(1, m + 1):
+        amp = raising @ amp / k
+    amp = amp * math.exp(-0.5 * log_binomial(N, m))
+    return _fix_phase((amp / np.linalg.norm(amp))[:, None])[:, 0]
+
+
+def oracle_ladder(N, p, phi, digits=40):
+    """Eigenvectors of J3' from a 40-digit symmetric eigensolve, phase-fixed, rows m."""
+    with mpmath.workdps(digits):
+        p, phi = mpmath.mpf(p), mpmath.mpf(phi)
+        t = mpmath.matrix(N + 1, N + 1)
+        for n in range(N + 1):
+            t[n, n] = (2 * p - 1) * (n - mpmath.mpf(N) / 2)
+        for k in range(N):
+            t[k + 1, k] = t[k, k + 1] = mpmath.sqrt(p * (1 - p) * (N - k) * (k + 1))
+        evals, q = mpmath.eigsy(t)
+        rows = []
+        for j in sorted(range(N + 1), key=lambda j: evals[j]):
+            v = [q[n, j] * mpmath.expj(n * phi) for n in range(N + 1)]
+            mags = [abs(x) for x in v]
+            lead = next(x for x, a in zip(v, mags) if a > 1e-10 * max(mags))
+            rows.append([complex(x * mpmath.conj(lead) / abs(lead)) for x in v])
+    return np.array(rows)
+
+
+def _cases(seed, count, n_max=24):
+    rng = np.random.default_rng(seed)
+    return [
+        (int(rng.integers(1, n_max + 1)), float(rng.random()), float(rng.uniform(-10, 10)))
+        for _ in range(count)
+    ]
+
+
+def _align(ref, got):
+    """ref times the unit phase that matches its largest amplitude to got's."""
+    j = np.argmax(np.abs(ref))
+    ratio = got[j] / ref[j]
+    return ref * ratio / abs(ratio)
+
+
+@pytest.mark.parametrize("N, p, phi", _cases(61, 40))
+def test_basis_matches_the_recursion_reference(N, p, phi):
+    got = np.array([s.amp for s in delta_basis(N, p, phi).states])
+    for ref_row, row in zip(reference_ladder(N, p, phi), got):
+        # the reference fixes its phase on an amplitude that can be 1e-10 of
+        # the largest, carrying a phase error of eps over that amplitude
+        assert np.abs(_align(ref_row, row) - row).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N, p, phi", _cases(62, 40))
+def test_state_matches_the_closed_form_reference(N, p, phi):
+    for m in range(N + 1):
+        got = delta_state(N, m, p, phi).amp
+        assert np.abs(_align(reference_state(N, m, p, phi), got) - got).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "N, p, phi",
+    [(1, 0.3, 0.4), (5, 0.62, -2.0), (12, 0.37, 1.1), (24, 0.9353742926722213, -2.697320038166886)],
+)
+def test_phases_match_a_high_precision_eigensolve(N, p, phi):
+    # at the last case the recursion reference is off by 1.6e-10 in phase
+    oracle = oracle_ladder(N, p, phi)
+    got = np.array([s.amp for s in delta_basis(N, p, phi).states])
+    assert np.abs(got - oracle).max() <= 1e-13
+    singles = np.array([delta_state(N, m, p, phi).amp for m in range(N + 1)])
+    assert np.abs(singles - oracle).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "N, p", [(0, 0.42), (0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0), (4, 0.0), (4, 1.0), (24, 0.0), (24, 1.0)]
+)
+def test_degenerate_ladders_are_bit_equal_to_the_references(N, p):
+    got = np.array([s.amp for s in delta_basis(N, p, 0.8).states])
+    assert got.tobytes() == reference_ladder(N, p, 0.8).tobytes()
+    for m in range(N + 1):
+        assert delta_state(N, m, p, 0.8).amp.tobytes() == reference_state(N, m, p, 0.8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "N, p, message",
+    [(-1, 0.5, "non-negative integer"), (2.5, 0.5, "non-negative integer"),
+     (3, 1.5, r"\[0, 1\]"), (3, -0.1, r"\[0, 1\]"), (3, float("nan"), r"\[0, 1\]")],
+)
+def test_bad_photon_number_or_probability_is_rejected(N, p, message):
+    with pytest.raises(ValueError, match=message):
+        delta_basis(N, p, 0.3)
+    with pytest.raises(ValueError, match=message):
+        delta_state(N, 0, p, 0.3)
+
+
+def test_phi_is_kept_as_given():
+    assert delta_basis(2, 0.3, 7.5).phi == 7.5

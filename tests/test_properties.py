@@ -1,7 +1,8 @@
 """Property tests over the parameter ranges the API accepts.
 
 Vector paths run over N in [0, 1000], p in [0, 1] and phi in [-1e6, 1e6];
-matrix paths over 2J <= 64. The atomic-side operators are the
+matrix paths over 2J <= 64. The Delta ladder runs to N = 1e5 for a single
+state and N = 600 for the full basis. The atomic-side operators are the
 Holstein-Primakoff ones under p = cos^2(theta/2), phi = 2*pi - varphi, so
 they are compared with the field side bit for bit where the arithmetic is
 shared, and with the theta-literal formulas otherwise.
@@ -22,6 +23,7 @@ from gbstates.cas import (
     rotation_operator_spin,
     spin_j_operators,
 )
+from gbstates.delta_basis import delta_basis, delta_state
 from gbstates.gbs import (
     BlochAngles,
     GbsParams,
@@ -126,3 +128,39 @@ def test_casimir_is_scalar_on_raw_and_rotated_sets(two_j, p, phi, a):
     assert casimir_dev(hp_operators(two_j)) <= 1e-12
     assert casimir_dev(rotated_operators(two_j, p, phi)) <= 1e-12
     assert casimir_dev(rotated_cas_operators(two_j / 2.0, a)) <= 1e-12
+
+
+def apply_rotated_j3(v, N, p, phi):
+    """J3' v = (2p-1) J3 v + sqrt(p(1-p)) (e^(i phi) J+ + e^(-i phi) J-) v in O(N)."""
+    n, k = np.arange(N + 1), np.arange(N)
+    ladder = np.sqrt((N - k) * (k + 1.0))  # <k+1|J+|k>
+    out = (2.0 * p - 1.0) * (n - N / 2.0) * v
+    out[1:] += math.sqrt(p * (1.0 - p)) * cmath.exp(1j * phi) * ladder * v[:-1]
+    out[:-1] += math.sqrt(p * (1.0 - p)) * cmath.exp(-1j * phi) * ladder * v[1:]
+    return out
+
+
+def ladder_residual(v, N, m, p, phi):
+    """max |J3' v - (m - N/2) v| at the canonical angle of the top rung gbs_state."""
+    prm = GbsParams(N, p, phi)
+    return float(np.abs(apply_rotated_j3(v, N, prm.p, prm.phi) - (m - N / 2.0) * v).max())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 100_000), st.data(), probabilities, phases)
+def test_delta_state_is_a_normalized_eigenvector(N, data, p, phi):
+    m = data.draw(st.integers(0, N))
+    v = delta_state(N, m, p, phi).amp
+    assert ladder_residual(v, N, m, p, phi) <= 1e-9
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 600), probabilities, phases)
+@example(129, 0.37, 1.1)
+@example(192, 0.37, 1.1)
+@example(257, 0.37, 1.1)
+def test_delta_basis_is_orthonormal_eigenbasis(N, p, phi):
+    vecs = np.array([s.amp for s in delta_basis(N, p, phi).states]).T
+    assert np.abs(vecs.conj().T @ vecs - np.eye(N + 1)).max() <= 1e-10
+    assert max(ladder_residual(vecs[:, m], N, m, p, phi) for m in range(N + 1)) <= 1e-9

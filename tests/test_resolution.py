@@ -119,6 +119,18 @@ class TestExpansionAmplitude:
             series_route = expansion_amplitude_series(psi, params)
             assert abs(overlap_route - series_route) <= 1e-10 * max(1.0, abs(overlap_route))
 
+    @pytest.mark.parametrize("route", [expansion_amplitude, expansion_amplitude_series])
+    def test_out_of_double_range_rejected(self, route):
+        # p^(-N/2) = 0.01^(-250) = 1e500
+        with pytest.raises(ValueError, match=r"N=500, p=0\.01"):
+            route(basis_state(501, 0), GbsParams(500, 0.01, 0.3))
+
+    def test_in_range_growth_stays_finite(self):
+        # 0.06^(-250) = 1.8e305 is still a double
+        psi, params = basis_state(501, 0), GbsParams(500, 0.06, 0.3)
+        assert math.isfinite(abs(expansion_amplitude(psi, params).A_value))
+        assert math.isfinite(abs(expansion_amplitude_series(psi, params)))
+
     def test_p_zero_rejected(self):
         with pytest.raises(ValueError, match="0 < p"):
             expansion_amplitude(basis_state(3, 0), GbsParams(2, 0.0, 0.0))

@@ -34,6 +34,13 @@ def test_group_filter_and_n_restriction():
     assert report["all_passed"] is True
 
 
+@pytest.mark.parametrize("n", [100, 200, 500])
+def test_delta_group_passes_at_large_n(n):
+    # includes rotation-columns-match against the dense-expm rotation
+    report = run_verification(VerifyConfig(n=n, groups=("delta",)))
+    assert report["all_passed"] is True
+
+
 def test_unknown_group_rejected():
     with pytest.raises(ValueError, match="unknown"):
         run_verification(VerifyConfig(groups=("bogus",)))
