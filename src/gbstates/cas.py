@@ -191,7 +191,7 @@ def disentangled_rotation(J, angles: BlochAngles) -> OperatorMatrix:
     if abs(angles.theta - math.pi) < 1e-12:
         raise ValueError(
             "the disentangled factorization diverges at theta = pi; "
-            "use the direct exponential (rotation_operator_spin)"
+            "use rotation_operator_spin"
         )
     import mpmath as mp  # deferred: only this oracle needs it, and it slows import
 

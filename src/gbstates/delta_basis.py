@@ -16,7 +16,7 @@ import numpy as np
 
 from .gbs import GbsParams
 from .hilbert import StateVector
-from .hp_algebra import _rotated_j3_bands
+from .hp_algebra import _ladder_eigenvectors, _phase_ramp
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -37,15 +37,8 @@ def _ladder(prm: GbsParams, m: int | None = None) -> np.ndarray:
         vecs = np.zeros((N + 1, cols.size), dtype=np.complex128)
         vecs[cols if p == 1.0 else N - cols, np.arange(cols.size)] = 1.0
         return vecs
-    from scipy.linalg import eigh_tridiagonal
-
-    select = {} if m is None else {"select": "i", "select_range": (m, m)}
-    _, vecs = eigh_tridiagonal(*_rotated_j3_bands(N, p, 1.0 - p), **select)  # ascending m
-    # e^(i n phi) from a 24-bit head of phi, whose products n * head are exact
-    # for N < 2^29: rounding n * phi would shift each phase by up to N phi eps
-    n, head = np.arange(N + 1.0), float(np.float32(prm.phi))
-    ramp = np.exp(1j * (n * head)) * np.exp(1j * (n * (prm.phi - head)))
-    return _fix_phase(ramp[:, None] * vecs)
+    vecs = _ladder_eigenvectors(N, p, 1.0 - p, m)
+    return _fix_phase(_phase_ramp(N, prm.phi)[:, None] * vecs)
 
 
 @dataclass(frozen=True)

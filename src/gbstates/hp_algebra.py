@@ -9,6 +9,13 @@ the operator linking two such states all live here.
 The atomic side (gbstates.cas) uses this ladder as its Dicke ladder, J = N/2:
 its operators, rotation and rotated set are the ones here under the paper's
 map p = cos^2(theta/2), phi = 2*pi - varphi.
+
+The rotation is computed from one eigensolve of the rotated J3', which is
+real symmetric tridiagonal after a diagonal phase similarity (the exact
+diagonalisation route to Wigner's d-matrix); the Delta basis of
+gbstates.delta_basis comes from the same solve. The dense matrix
+exponential _ladder_rotation is kept as the oracle for the tests and
+verify, and for composition_residual, whose composite angle may exceed pi.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbs import BlochAngles, GbsParams, params_to_angles
-from .hilbert import OperatorMatrix, adjoint, expm
+from .hilbert import OperatorMatrix, adjoint, expm, identity
 
 
 @dataclass(frozen=True)
@@ -81,14 +88,40 @@ def hp_operators(N: int) -> PseudoSpinSet:
 
 
 def _ladder_rotation(N: int, eta: complex) -> OperatorMatrix:
-    """exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder, for any complex eta."""
+    """exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder, for any complex eta,
+    by a dense matrix exponential: the oracle for rotation_operator."""
     ops = hp_operators(N)
     return expm((-eta) * ops.Jplus + np.conj(eta) * ops.Jminus)
 
 
 def rotation_operator(N: int, spec: RotationSpec) -> OperatorMatrix:
-    """Bloch rotation exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder."""
-    return _ladder_rotation(N, spec.eta)
+    """Bloch rotation exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder.
+
+    R = D R0 D^(-1) with D = diag(e^(-i n varphi)) and R0 the real rotation
+    at varphi = 0. Column m of R0 is the eigenvector of the tridiagonal T of
+    _rotated_j3_bands for m - N/2, its sign fixed by the ladder: column N is
+    the non-negative |N, p, 0>, and <R0_(m+1)| M |R0_m> > 0 for the real
+    banded M = R0 J+ R0^T = p J+ - q J- - 2 sqrt(pq) J3. So column N of R is
+    e^(i N varphi) |N, p, 2*pi - varphi>. p = cos^2(theta/2) and
+    q = sin^2(theta/2) are both taken from theta, which keeps the digits of
+    q near theta = 0. O(N^2) time and memory beyond the eigensolve.
+    """
+    half = spec.angles.theta / 2.0
+    if N == 0 or half == 0.0:
+        return identity(N + 1)
+    p, q = math.cos(half) ** 2, math.sin(half) ** 2
+    v = _ladder_eigenvectors(N, p, q)
+    up = np.sqrt((N - np.arange(N)) * (np.arange(N) + 1.0))[:, None]
+    j3 = (np.arange(N + 1) - N / 2.0)[:, None]
+    # <v_(m+1)| M |v_m> for m = 0..N-1, each O(N)
+    link = (
+        p * np.sum(v[1:, 1:] * up * v[:-1, :-1], axis=0)
+        - q * np.sum(v[:-1, 1:] * up * v[1:, :-1], axis=0)
+        - 2.0 * math.sqrt(p * q) * np.sum(v[:, 1:] * j3 * v[:, :-1], axis=0)
+    )
+    signs = np.append(np.cumprod(np.sign(link)[::-1])[::-1], 1.0) * np.sign(v[:, N].sum())
+    ramp = np.conj(_phase_ramp(N, spec.angles.varphi))  # e^(i n phi), phi = 2*pi - varphi
+    return OperatorMatrix(ramp[:, None] * (v * signs) * np.conj(ramp))
 
 
 def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:
@@ -125,6 +158,24 @@ def _rotated_j3_bands(N: int, p: float, q: float) -> tuple[np.ndarray, np.ndarra
     """Bands of the real symmetric T with J3' = D T D^(-1), D = diag(e^(i n phi))."""
     n, k = np.arange(N + 1), np.arange(N)
     return (2.0 * p - 1.0) * (n - N / 2.0), math.sqrt(p * q) * np.sqrt((N - k) * (k + 1.0))
+
+
+def _ladder_eigenvectors(N: int, p: float, q: float, m: int | None = None) -> np.ndarray:
+    """Real eigenvectors of T (_rotated_j3_bands) as columns, eigenvalue m - N/2 in
+    column m, for m = 0..N or for the given m alone; each column's sign is arbitrary.
+    N >= 1: eigh_tridiagonal takes no empty matrix.
+    """
+    from scipy.linalg import eigh_tridiagonal  # deferred: the vector paths never need scipy
+
+    select = {} if m is None else {"select": "i", "select_range": (m, m)}
+    return eigh_tridiagonal(*_rotated_j3_bands(N, p, q), **select)[1]  # ascending m
+
+
+def _phase_ramp(N: int, phi: float) -> np.ndarray:
+    """e^(i n phi) for n = 0..N, from a 24-bit head of phi whose products n * head
+    are exact for N < 2^29: rounding n * phi would shift each phase by up to N phi eps."""
+    n, head = np.arange(N + 1.0), float(np.float32(phi))
+    return np.exp(1j * (n * head)) * np.exp(1j * (n * (phi - head)))
 
 
 def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:

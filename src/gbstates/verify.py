@@ -167,6 +167,9 @@ def group_gbs(cfg: VerifyConfig) -> dict:
 
 
 def group_rotation(cfg: VerifyConfig) -> dict:
+    """Rotated number state, link operator, zero angle, and the eigensolve rotation
+    against the dense-expm oracle at polar angles near 0 and pi and one drawn
+    from the sphere."""
     rng = np.random.default_rng(cfg.seed + 2)
     fid_dev = link_dev = 0.0
     for _ in range(100):
@@ -183,10 +186,19 @@ def group_rotation(cfg: VerifyConfig) -> dict:
         n0, hp_algebra.RotationSpec.from_angles(BlochAngles(0.0, 1.3))
     )
     ident_dev = float(np.abs(ident.entries - np.eye(n0 + 1)).max())
+    oracle_dev = 0.0
+    for n in [cfg.n] if cfg.n is not None else [1, 2, 5, 30, 64, 200]:
+        polar = float(np.arccos(rng.uniform(-1, 1)))
+        for theta in (1e-9, polar, math.pi - 1e-9, math.pi):
+            spec = hp_algebra.RotationSpec.from_angles(BlochAngles(theta, rng.random() * TWO_PI))
+            r = hp_algebra.rotation_operator(n, spec).entries
+            r_expm = hp_algebra._ladder_rotation(n, spec.eta).entries
+            oracle_dev = max(oracle_dev, float(np.abs(r - r_expm).max()))
     checks = [
         _le("rotated-number-state-fidelity", fid_dev, 1e-10, cfg),
         _le("link-operator-fidelity", link_dev, 1e-10, cfg),
         _le("zero-angle-rotation-is-identity", ident_dev, 1e-14, cfg),
+        _le("rotation-vs-expm-oracle", oracle_dev, 1e-12, cfg),
     ]
     return _group("rotation", checks)
 
@@ -316,6 +328,8 @@ def group_delta(cfg: VerifyConfig) -> dict:
     N >= 1, the bottom rung with its orthogonal partner; at N = 0 the
     ladder is the vacuum alone. closed-form-vs-recursion compares the
     single-vector solve of delta_state with the full solve of delta_basis.
+    rotation-columns-match compares the ladder with the columns of the
+    dense-expm rotation, not with rotation_operator, which shares its solve.
     """
     rng = np.random.default_rng(cfg.seed + 5)
     n_values = [cfg.n] if cfg.n is not None else [1, 2, 3, 5, 8, 13, 21, 30, 100, 200]
@@ -336,7 +350,7 @@ def group_delta(cfg: VerifyConfig) -> dict:
         single = delta_state(n, m_probe, p, phi)
         closed = max(closed, abs(1.0 - abs(inner(single, basis.states[m_probe]))))
         complete = max(complete, float(np.abs(vecs @ vecs.conj().T - np.eye(n + 1)).max()))
-        r = hp_algebra.rotation_operator(n, hp_algebra.RotationSpec.from_gbs(prm)).entries
+        r = hp_algebra._ladder_rotation(n, hp_algebra.RotationSpec.from_gbs(prm).eta).entries
         overlaps = np.abs(np.sum(vecs.conj() * r, axis=0))  # |<Delta_m| R |m>|
         columns = max(columns, float(np.abs(1.0 - overlaps).max()))
     middle = 0.0

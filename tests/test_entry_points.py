@@ -27,6 +27,32 @@ def test_import_leaves_mpmath_unloaded():
     assert proc.stdout == b"False\n"
 
 
+def test_import_leaves_scipy_unloaded():
+    proc = run_python("-c", "import sys, gbstates; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+
+
+def test_vector_subcommands_leave_scipy_unloaded(tmp_path):
+    state_file = str(tmp_path / "state.json")
+    script = f"""
+import sys
+from gbstates.cli import main
+runs = [
+    ["state", "-N", "6", "-p", "0.4", "--phi", "0.7", "-o", {state_file!r}],
+    ["overlap", "-N", "6", "-p", "0.4", "--phi", "0.7", "--p2", "0.2", "--phi2", "1.5"],
+    ["partner", "-N", "6", "-p", "0.4", "--phi", "0.7"],
+    ["expand", {state_file!r}],
+    ["squeeze-scan", "-N", "20", "--p-steps", "5", "--phi-steps", "4"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, "scipy" in sys.modules, file=sys.stderr)
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"[0, 0, 0, 0, 0] False\n"
+
+
 @pytest.mark.parametrize("module", ["gbstates", "gbstates.cli"])
 @pytest.mark.parametrize(
     "argv",

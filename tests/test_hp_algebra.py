@@ -10,6 +10,7 @@ from gbstates.gbs import BlochAngles, GbsParams, gbs_state, orthogonal_partner
 from gbstates.hilbert import adjoint, apply, basis_state, commutator, inner
 from gbstates.hp_algebra import (
     RotationSpec,
+    _ladder_rotation,
     composition_angles,
     composition_residual,
     hp_operators,
@@ -103,6 +104,25 @@ class TestRotationOperator:
         r = rotation_operator(6, RotationSpec.from_angles(BlochAngles(2.2, 0.9)))
         np.testing.assert_allclose((r @ adjoint(r)).entries, np.eye(7), atol=1e-12)
         assert abs(np.linalg.det(r.entries)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 30, 64, 200, 512])
+def test_rotation_matches_expm_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for theta in (0.0, 1e-9, math.pi / 2, math.pi - 1e-9, math.pi):
+        spec = RotationSpec.from_angles(BlochAngles(theta, rng.random() * TWO_PI))
+        r = rotation_operator(n, spec).entries
+        assert np.abs(r - _ladder_rotation(n, spec.eta).entries).max() <= 1e-12
+
+
+def test_large_rotation_is_unitary_with_gbs_top_column():
+    n, params = 1000, GbsParams(1000, 0.37, 1.1)
+    spec = RotationSpec.from_gbs(params)
+    r = rotation_operator(n, spec).entries
+    assert np.abs(r.conj().T @ r - np.eye(n + 1)).max() <= 1e-12
+    # column N is |N, p, phi> times the global phase e^(i N varphi)
+    top = r[:, n] * cmath.exp(-1j * n * spec.angles.varphi)
+    assert np.abs(top - gbs_state(params).amp).max() <= 1e-12
 
 
 class TestRotatedOperators:

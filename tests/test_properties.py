@@ -2,7 +2,8 @@
 
 Vector paths run over N in [0, 1000], p in [0, 1] and phi in [-1e6, 1e6];
 matrix paths over 2J <= 64. The Delta ladder runs to N = 1e5 for a single
-state and N = 600 for the full basis. The atomic-side operators are the
+state and N = 600 for the full basis, and the rotation operator to N = 600.
+The atomic-side operators are the
 Holstein-Primakoff ones under p = cos^2(theta/2), phi = 2*pi - varphi, so
 they are compared with the field side bit for bit where the arithmetic is
 shared, and with the theta-literal formulas otherwise.
@@ -164,3 +165,40 @@ def test_delta_basis_is_orthonormal_eigenbasis(N, p, phi):
     vecs = np.array([s.amp for s in delta_basis(N, p, phi).states]).T
     assert np.abs(vecs.conj().T @ vecs - np.eye(N + 1)).max() <= 1e-10
     assert max(ladder_residual(vecs[:, m], N, m, p, phi) for m in range(N + 1)) <= 1e-9
+
+
+def literal_ladder_apply(r, a: BlochAngles):
+    """Jz' r and Jplus' r column by column, banded, from the theta-literal formulas."""
+    N = r.shape[0] - 1
+    k = np.arange(N)
+    ladder = np.sqrt((N - k) * (k + 1.0))[:, None]  # <k+1|J+|k>
+    jz = (np.arange(N + 1) - N / 2.0)[:, None] * r
+    jp, jm = np.zeros_like(r), np.zeros_like(r)
+    jp[1:] = ladder * r[:-1]
+    jm[:-1] = ladder * r[1:]
+    th, eph = a.theta, cmath.exp(1j * a.varphi)
+    jzp = math.cos(th) * jz + (math.sin(th) / 2.0) * (np.conj(eph) * jp + eph * jm)
+    jplusp = eph * (
+        math.cos(th / 2.0) ** 2 * np.conj(eph) * jp
+        - math.sin(th / 2.0) ** 2 * eph * jm
+        - math.sin(th) * jz
+    )
+    return jzp, jplusp
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 600), angles)
+@example(512, BlochAngles(math.pi, 0.3))
+@example(512, BlochAngles(1e-9, 0.3))
+def test_rotation_is_the_ladder_of_the_rotated_set(N, a):
+    """R is unitary, R J3 R^+ = J3', column N is the state up to e^(i N varphi),
+    and <R_(m+1)| Jplus' |R_m> = sqrt((N-m)(m+1)): together they fix R."""
+    r = rotation_operator(N, RotationSpec.from_angles(a)).entries
+    assert np.abs(r.conj().T @ r - np.eye(N + 1)).max() <= 1e-12
+    jzp_r, jplusp_r = literal_ladder_apply(r, a)
+    m = np.arange(N + 1)
+    assert np.abs(jzp_r - r * (m - N / 2.0)).max() <= 1e-9
+    links = np.sum(r[:, 1:].conj() * jplusp_r[:, :-1], axis=0)
+    assert np.abs(links - np.sqrt((N - m[:-1]) * (m[:-1] + 1.0))).max(initial=0.0) <= 1e-9
+    atomic = cas_state(CasParams(N / 2.0, a)).amp
+    assert np.abs(r[:, N] * cmath.exp(-1j * N * a.varphi) - atomic).max() <= 1e-12
