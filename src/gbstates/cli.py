@@ -4,8 +4,8 @@ Subcommands: state, overlap, partner, basis, expand, squeeze-scan, verify.
 Everything serializes to JSON (shortest round-trip floats) or CSV (17
 significant digits), always deterministically: identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 verification
-failure, 2 usage error. GBSTATES_TOLERANCE sets the default verification
-tolerance.
+failure, 2 usage error or an N too large for memory. GBSTATES_TOLERANCE
+sets the default verification tolerance.
 """
 
 from __future__ import annotations
@@ -201,6 +201,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         groups=tuple(args.group) if args.group else None,
         n=args.N,
+        timings=args.timings,
     )
     try:
         report = run_verification(cfg)
@@ -279,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override every residual bound (default: per-check bounds, or GBSTATES_TOLERANCE)",
     )
     p_verify.add_argument("--seed", type=int, default=7, help="seed for randomized suites")
+    p_verify.add_argument(
+        "--timings", action="store_true", help="add each group's wall time as its 'seconds' field"
+    )
     p_verify.add_argument("-o", "--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -295,6 +299,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        size = "" if args.N is None else f" for N={args.N}"  # every subcommand has -N
+        print(f"error: not enough memory{size}", file=sys.stderr)
         return 2
 
 

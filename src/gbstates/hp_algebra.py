@@ -13,9 +13,11 @@ map p = cos^2(theta/2), phi = 2*pi - varphi.
 The rotation is computed from one eigensolve of the rotated J3', which is
 real symmetric tridiagonal after a diagonal phase similarity (the exact
 diagonalisation route to Wigner's d-matrix); the Delta basis of
-gbstates.delta_basis comes from the same solve. The dense matrix
-exponential _ladder_rotation is kept as the oracle for the tests and
-verify, and for composition_residual, whose composite angle may exceed pi.
+gbstates.delta_basis comes from the same solve. The operator linking two
+states is one rotation too, composed on the spin-1/2 matrices. The dense
+matrix exponential _ladder_rotation is kept as the oracle for the tests
+and verify, and for composition_residual, whose composite angle may
+exceed pi.
 """
 
 from __future__ import annotations
@@ -182,9 +184,36 @@ def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:
     """Unitary T = R(b) R(a)^(-1) carrying |N,p,phi> onto |N,p',phi'>."""
     if a.N != N or b.N != N:
         raise ValueError(f"parameter sets must share N={N}, got {a.N} and {b.N}")
-    ra = rotation_operator(N, RotationSpec.from_gbs(a))
-    rb = rotation_operator(N, RotationSpec.from_gbs(b))
-    return rb @ adjoint(ra)  # R is unitary, so the inverse is the adjoint
+    return _link(N, params_to_angles(a), params_to_angles(b))
+
+
+def _spin_half(angles: BlochAngles) -> np.ndarray:
+    """The rotation on the two-rung ladder n = 0, 1:
+    [[c, e^(i varphi) s], [-e^(-i varphi) s, c]] with c, s = cos, sin(theta/2)."""
+    half = angles.theta / 2.0
+    c, s = math.cos(half), math.sin(half)
+    e = cmath.exp(1j * angles.varphi)
+    return np.array([[c, e * s], [-e.conjugate() * s, c]])
+
+
+def _link(N: int, a: BlochAngles, b: BlochAngles) -> OperatorMatrix:
+    """R(b) R(a)^(-1) as one rotation: the spin-N/2 representation is a homomorphism,
+    so the product is composed on the spin-1/2 matrices U = U(b) U(a)^+ and lifted once.
+
+    U = diag(e^(i alpha/2), e^(-i alpha/2)) R(beta, phi_c), which lifts to
+    e^(i (alpha/2)(N - 2n)) times row n of R(beta, phi_c). alpha/2 rather than
+    alpha carries the sign of U that an odd N sees. One eigensolve and O(N^2)
+    work, against two eigensolves and an (N+1)^3 product.
+    """
+    u = _spin_half(b) @ _spin_half(a).conj().T
+    c, s = abs(u[0, 0]), abs(u[0, 1])
+    half_alpha = cmath.phase(u[0, 0]) if c > 0.0 else 0.0
+    beta = 2.0 * math.atan2(s, c)
+    phi_c = cmath.phase(u[0, 1]) - half_alpha
+    r = rotation_operator(N, RotationSpec.from_angles(BlochAngles(beta, phi_c)))
+    ramp = _phase_ramp(N, half_alpha)
+    row_phase = ramp[::-1] * np.conj(ramp)  # e^(i (alpha/2)(N - n)) e^(-i (alpha/2) n)
+    return OperatorMatrix(row_phase[:, None] * r.entries)
 
 
 def composition_angles(a: BlochAngles, b: BlochAngles) -> tuple[float, float, complex]:
@@ -213,9 +242,7 @@ def composition_residual(N: int, a: BlochAngles, b: BlochAngles) -> float:
     Diagnostic only: reports how far the closed-form composition law is
     from the exact operator product for the given pair of directions.
     """
-    ra = rotation_operator(N, RotationSpec.from_angles(a))
-    rb = rotation_operator(N, RotationSpec.from_angles(b))
-    t = rb @ adjoint(ra)
+    t = _link(N, a, b)
     big_theta, big_phi, phase = composition_angles(a, b)
     # Theta may exceed pi, so pass eta directly instead of round-tripping
     # through BlochAngles validation

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import GbsParams, _log_binomial_row, binomial_amplitudes, gbs_state
+from .gbs import (
+    GbsParams,
+    _check_photon_number,
+    _log_binomial_row,
+    binomial_amplitudes,
+    gbs_state,
+)
 from .hilbert import OperatorMatrix, StateVector, inner
 
 
@@ -89,19 +95,38 @@ def _resolution_matrix(N: int, quad: SphereQuadrature) -> np.ndarray:
     """Grid value of (N+1) integral dOmega/(4 pi) |N,p,phi><N,p,phi| as G * S.
 
     G[n, n'] = sum_k ((N+1) w_k / 2) m_k[n] m_k[n'] over the polar rows
-    m_k = binomial_amplitudes(N, cos^2(theta_k/2)); S(d) is the average of
-    e^(i d phi_j) over the phase nodes, summed numerically so that an
-    under-resolved phase grid aliases exactly as the node-by-node sum does.
+    m_k = binomial_amplitudes(N, cos^2(theta_k/2)), all K from one log C(N, n)
+    row (_polar_rows); S(d) is the average of e^(i d phi_j) over the phase
+    nodes, summed numerically so that an under-resolved phase grid aliases
+    exactly as the node-by-node sum does.
     The CAS coefficients are the complex conjugates of these amplitudes, so
     the CAS resolution is the conjugate of this matrix.
     """
+    _check_photon_number(N)
     thetas, w = quad.theta_nodes[:, 0], quad.theta_nodes[:, 1]
-    rows = np.array([binomial_amplitudes(N, math.cos(t / 2.0) ** 2) for t in thetas])
+    rows = _polar_rows(N, [math.cos(t / 2.0) ** 2 for t in thetas])
     gram = (rows.T * ((N + 1) * w / 2.0)) @ rows
     d = np.arange(-N, N + 1)
     phase_avg = np.exp(1j * np.outer(d, quad.phi_values)).mean(axis=1)
     n = np.arange(N + 1)
     return gram * phase_avg[n[:, None] - n + N]
+
+
+def _polar_rows(N: int, p_values: list[float]) -> np.ndarray:
+    """binomial_amplitudes(N, p) for each p as the rows of one array, bit-equal to
+    the per-node calls: one log C(N, n) row serves every node, and log p and
+    log1p(-p) are taken per node by math, as binomial_amplitudes takes them.
+    The exact p = 0, 1 rows come from binomial_amplitudes itself."""
+    p = np.array(p_values, dtype=float)
+    inner = (p > 0.0) & (p < 1.0)
+    n = np.arange(N + 1, dtype=float)
+    log_p = np.array([math.log(x) for x in p[inner]])[:, None]
+    log_q = np.array([math.log1p(-x) for x in p[inner]])[:, None]
+    rows = np.empty((p.size, N + 1))
+    rows[inner] = np.exp(0.5 * (_log_binomial_row(N) + n * log_p + (N - n) * log_q))
+    for k in np.flatnonzero(~inner):
+        rows[k] = binomial_amplitudes(N, p[k])
+    return rows
 
 
 def _warn_if_under_resolved(N: int, quad: SphereQuadrature) -> None:

@@ -63,7 +63,10 @@ class SqueezeRow:
 
 
 def quadrature_ops(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Truncated aX, aP matrices; [aX, aP] = 2i except on the top level."""
+    """Truncated aX, aP matrices; [aX, aP] = 2i except on the top level.
+
+    The dense oracle of direct_stats, kept for the tests.
+    """
     if dim < 2:
         raise ValueError(f"quadratures need dim >= 2, got {dim}")
     a = np.zeros((dim, dim), dtype=np.complex128)
@@ -75,9 +78,11 @@ def quadrature_ops(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
 def direct_stats(psi: StateVector) -> QuadratureStats:
     """Quadrature moments of a state by explicit expectation values.
 
-    The state must be normalized and must not populate the top two
-    truncation levels, otherwise the <aK^2> values pick up truncation
-    artifacts.
+    a and a' act as shifted products of the amplitude vector, the truncated
+    operators of quadrature_ops without the matrices: O(N) time and memory.
+    Var(K) is taken as ||(K - <K>) psi||^2, so no O(N) terms cancel. The
+    state must be normalized and must not populate the top two truncation
+    levels, otherwise the <aK^2> values pick up truncation artifacts.
     """
     if not psi.is_normalized():
         raise ValueError("direct_stats requires a normalized state")
@@ -85,13 +90,16 @@ def direct_stats(psi: StateVector) -> QuadratureStats:
         raise ValueError("need dim >= 3 so two empty guard levels exist")
     if np.max(np.abs(psi.amp[-2:])) > 1e-10:
         raise ValueError("top two truncation levels must be unpopulated")
-    ax, ap = quadrature_ops(psi.dim)
+    amp = psi.amp
+    ladder = np.sqrt(np.arange(1.0, psi.dim))
+    down, up = np.zeros_like(amp), np.zeros_like(amp)  # a psi, a' psi
+    down[:-1] = ladder * amp[1:]
+    up[1:] = ladder * amp[:-1]
     stats = []
-    for op in (ax.entries, ap.entries):
-        vec = op @ psi.amp
-        mean = float(np.real(np.vdot(psi.amp, vec)))
-        second = float(np.real(np.vdot(vec, vec)))  # op is Hermitian
-        stats.append((mean, second - mean * mean))
+    for vec in (down + up, (down - up) / 1j):
+        mean = float(np.real(np.vdot(amp, vec)))
+        spread = vec - mean * amp
+        stats.append((mean, float(np.real(np.vdot(spread, spread)))))
     (mean_x, var_x), (mean_p, var_p) = stats
     return QuadratureStats(mean_x, mean_p, var_x, var_p, 1.0 - var_x, 1.0 - var_p)
 

@@ -10,6 +10,7 @@ actually sits, e.g. --tolerance 1e-16 fails most groups by design).
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -30,13 +31,15 @@ class VerifyConfig:
     tolerance None keeps each check at its specified bound; a finite,
     non-negative float replaces the bound of every residual (<=) check.
     groups None runs everything. n restricts N-sweeps to one value where
-    that makes sense.
+    that makes sense. timings adds each group's wall time as its "seconds"
+    field; off by default, so that a report's bytes depend on its inputs only.
     """
 
     tolerance: float | None = None
     seed: int = 7
     groups: tuple[str, ...] | None = None
     n: int | None = None
+    timings: bool = False
 
 
 def _json_float(x: float) -> float | None:
@@ -169,7 +172,10 @@ def group_gbs(cfg: VerifyConfig) -> dict:
 def group_rotation(cfg: VerifyConfig) -> dict:
     """Rotated number state, link operator, zero angle, and the eigensolve rotation
     against the dense-expm oracle at polar angles near 0 and pi and one drawn
-    from the sphere."""
+    from the sphere. link-vs-expm-oracle compares the link operator, composed on
+    the spin-1/2 matrices, with the product of two dense-expm rotations, on a
+    drawn pair, a coincident pair, an antipodal pair, a pair whose composite
+    angle is within 1e-9 of pi, and the two poles p = 0, 1 in both orders."""
     rng = np.random.default_rng(cfg.seed + 2)
     fid_dev = link_dev = 0.0
     for _ in range(100):
@@ -186,19 +192,39 @@ def group_rotation(cfg: VerifyConfig) -> dict:
         n0, hp_algebra.RotationSpec.from_angles(BlochAngles(0.0, 1.3))
     )
     ident_dev = float(np.abs(ident.entries - np.eye(n0 + 1)).max())
-    oracle_dev = 0.0
-    for n in [cfg.n] if cfg.n is not None else [1, 2, 5, 30, 64, 200]:
+    oracle_dev = link_oracle_dev = 0.0
+    oracle_ns = [cfg.n] if cfg.n is not None else [1, 2, 5, 30, 64, 200]
+    for n in oracle_ns:
         polar = float(np.arccos(rng.uniform(-1, 1)))
         for theta in (1e-9, polar, math.pi - 1e-9, math.pi):
             spec = hp_algebra.RotationSpec.from_angles(BlochAngles(theta, rng.random() * TWO_PI))
             r = hp_algebra.rotation_operator(n, spec).entries
             r_expm = hp_algebra._ladder_rotation(n, spec.eta).entries
             oracle_dev = max(oracle_dev, float(np.abs(r - r_expm).max()))
+    for n in oracle_ns:
+        a = _random_params(rng, n_fixed=n)
+        b = GbsParams(n, float(rng.random()), float(rng.random() * TWO_PI))
+        antipode = GbsParams(n, 1.0 - a.p, a.phi + math.pi)
+        # pi - 1e-9 from a along its meridian: the composite angle is that close to pi
+        near = GbsParams(
+            n, math.sin(gbs.params_to_angles(a).theta / 2.0 + 5e-10) ** 2, a.phi + math.pi
+        )
+        poles = (GbsParams(n, 0.0, a.phi), GbsParams(n, 1.0, b.phi))
+        r_expm = {
+            prm: hp_algebra._ladder_rotation(n, hp_algebra.RotationSpec.from_gbs(prm).eta).entries
+            for prm in (a, b, antipode, near, *poles)
+        }
+        for x, y in ((a, b), (a, a), (a, antipode), (a, near), poles, poles[::-1]):
+            t = hp_algebra.link_operator(n, x, y).entries
+            link_oracle_dev = max(
+                link_oracle_dev, float(np.abs(t - r_expm[y] @ r_expm[x].conj().T).max())
+            )
     checks = [
         _le("rotated-number-state-fidelity", fid_dev, 1e-10, cfg),
         _le("link-operator-fidelity", link_dev, 1e-10, cfg),
         _le("zero-angle-rotation-is-identity", ident_dev, 1e-14, cfg),
         _le("rotation-vs-expm-oracle", oracle_dev, 1e-12, cfg),
+        _le("link-vs-expm-oracle", link_oracle_dev, 1e-12, cfg),
     ]
     return _group("rotation", checks)
 
@@ -635,7 +661,15 @@ def run_verification(cfg: VerifyConfig) -> dict:
     unknown = [g for g in names if g not in GROUPS]
     if unknown:
         raise ValueError(f"unknown verification groups: {', '.join(unknown)}")
-    groups = [GROUPS[name](cfg) for name in names]
+    if cfg.n is not None and cfg.n < 0:
+        raise ValueError(f"N must be a non-negative integer, got {cfg.n}")
+    groups = []
+    for name in names:
+        start = time.perf_counter()
+        group = GROUPS[name](cfg)
+        if cfg.timings:
+            group["seconds"] = time.perf_counter() - start
+        groups.append(group)
     return {
         "tolerance": cfg.tolerance,
         "seed": cfg.seed,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gbstates import cli
 from gbstates.cli import main
 from gbstates.gbs import GbsParams, gbs_state
 
@@ -338,6 +339,58 @@ class TestVerify:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+class TestOutOfMemory:
+    """A size that does not fit in memory is a usage error naming N. The kernels
+    are patched to raise, so nothing large is allocated."""
+
+    @staticmethod
+    def _no_memory(*args, **kwargs):
+        raise MemoryError
+
+    @pytest.mark.parametrize(
+        "kernel, argv",
+        [
+            ("gbs_state", ("state", "-N", "100000000000", "-p", "0.5")),
+            ("delta_basis", ("basis", "-N", "7", "-p", "0.5")),
+            ("squeeze_scan", ("squeeze-scan", "-N", "9", "--p-steps", "2", "--phi-steps", "2")),
+        ],
+    )
+    def test_exits_2_with_message(self, capsys, monkeypatch, kernel, argv):
+        monkeypatch.setattr(cli, kernel, self._no_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: not enough memory for N={argv[2]}\n"
+
+    def test_expand_without_n_leaves_n_out(self, capsys, monkeypatch, tmp_path):
+        state_file = tmp_path / "state.json"
+        state_file.write_text('{"amplitudes": [{"re": 1.0, "im": 0.0}]}')
+        monkeypatch.setattr(cli, "reconstruct", self._no_memory)
+        code, out, err = run_cli(capsys, "expand", str(state_file))
+        assert code == 2
+        assert out == ""
+        assert err == "error: not enough memory\n"
+
+
+class TestVerifyTimings:
+    ARGS = ("verify", "--group", "gbs", "--group", "coherent", "-N", "3")
+
+    def test_default_bytes_carry_no_timings(self, capsys):
+        _, plain, _ = run_cli(capsys, *self.ARGS)
+        code, timed, _ = run_cli(capsys, *self.ARGS, "--timings")
+        assert code == 0
+        assert "seconds" not in plain
+        report = json.loads(timed)
+        assert all(g.pop("seconds") >= 0.0 for g in report["groups"])
+        assert cli._json(report) == plain
+
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "-N", "-1", "--group", "coherent")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "non-negative" in err
 
 
 def test_usage_error_exit_code():

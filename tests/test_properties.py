@@ -2,7 +2,8 @@
 
 Vector paths run over N in [0, 1000], p in [0, 1] and phi in [-1e6, 1e6];
 matrix paths over 2J <= 64. The Delta ladder runs to N = 1e5 for a single
-state and N = 600 for the full basis, and the rotation operator to N = 600.
+state and N = 600 for the full basis, and the rotation and link operators
+to N = 600.
 The atomic-side operators are the
 Holstein-Primakoff ones under p = cos^2(theta/2), phi = 2*pi - varphi, so
 they are compared with the field side bit for bit where the arithmetic is
@@ -38,6 +39,7 @@ from gbstates.hp_algebra import (
     PseudoSpinSet,
     RotationSpec,
     hp_operators,
+    link_operator,
     rotated_operators,
     rotation_operator,
 )
@@ -202,3 +204,28 @@ def test_rotation_is_the_ladder_of_the_rotated_set(N, a):
     assert np.abs(links - np.sqrt((N - m[:-1]) * (m[:-1] + 1.0))).max(initial=0.0) <= 1e-9
     atomic = cas_state(CasParams(N / 2.0, a)).amp
     assert np.abs(r[:, N] * cmath.exp(-1j * N * a.varphi) - atomic).max() <= 1e-12
+
+
+def _near_antipode_p(p: float) -> float:
+    """p of the direction pi - 1e-9 from (p, phi) along its meridian, at phi + pi."""
+    theta = 2.0 * math.atan2(math.sqrt(1.0 - p), math.sqrt(p))
+    return math.sin(theta / 2.0 + 5e-10) ** 2
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 600), probabilities, phases, probabilities, phases)
+@example(7, 0.3, 1.1, 0.3, 1.1)  # coincident pair: T = 1
+@example(9, 0.3, 1.1, 0.7, 1.1 + math.pi)  # antipodal pair: composite angle pi
+@example(11, 0.3, 1.1, _near_antipode_p(0.3), 1.1 + math.pi)  # composite angle pi - 1e-9
+@example(5, 0.0, 0.4, 1.0, 2.0)  # the two poles, both orders
+@example(6, 1.0, 0.4, 0.0, 2.0)
+@example(1, 0.2, 0.4, 0.9, 5.0)  # odd N sees the sign of the spin-1/2 product
+@example(512, 0.37, 1.1, 0.81, 4.0)
+def test_link_operator_is_the_product_of_two_rotations(N, p, phi, p2, phi2):
+    """The link composed on the spin-1/2 matrices equals R(b) R(a)^+ and is unitary."""
+    a, b = GbsParams(N, p, phi), GbsParams(N, p2, phi2)
+    t = link_operator(N, a, b).entries
+    ra = rotation_operator(N, RotationSpec.from_gbs(a))
+    rb = rotation_operator(N, RotationSpec.from_gbs(b))
+    assert np.abs(t - (rb @ adjoint(ra)).entries).max() <= 1e-12
+    assert np.abs(t.conj().T @ t - np.eye(N + 1)).max() <= 1e-12

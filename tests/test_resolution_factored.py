@@ -17,7 +17,12 @@ import pytest
 from gbstates.cas import cas_expansion_check, cas_identity_resolution
 from gbstates.gbs import binomial_amplitudes
 from gbstates.hilbert import StateVector
-from gbstates.resolution import SphereQuadrature, identity_resolution, reconstruct
+from gbstates.resolution import (
+    SphereQuadrature,
+    _polar_rows,
+    identity_resolution,
+    reconstruct,
+)
 
 ATOL = 1e-14
 
@@ -100,6 +105,27 @@ def test_reconstructions_match_grid_sum(N, kind, make):
         warnings.simplefilter("ignore")
         out = cas_expansion_check(N / 2.0, StateVector(psi), quad).amp
     assert np.abs(out - ref_reconstruct(psi, N, quad, sign=-1)).max() <= ATOL
+
+
+@pytest.mark.parametrize("N, kind, make", CASES, ids=IDS)
+def test_polar_rows_bit_equal_per_node_rows(N, kind, make):
+    # the one-pass rows repeat binomial_amplitudes' arithmetic node by node
+    p_values = [math.cos(theta / 2.0) ** 2 for theta in make(N).theta_nodes[:, 0]]
+    ref = np.array([binomial_amplitudes(N, p) for p in p_values])
+    assert np.array_equal(_polar_rows(N, p_values), ref)
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 192, 300])
+def test_polar_rows_bit_equal_at_the_poles_and_edges(N):
+    # p = 0, 1 take binomial_amplitudes' exact rows; the rest the one-pass rows
+    p_values = [0.0, 5e-324, 1e-9, 0.37, 1.0 - 2.0**-53, 1.0, 0.5]
+    ref = np.array([binomial_amplitudes(N, p) for p in p_values])
+    assert np.array_equal(_polar_rows(N, p_values), ref)
+
+
+def test_negative_photon_number_rejected():
+    with pytest.raises(ValueError, match="non-negative integer"):
+        identity_resolution(-1, SphereQuadrature.build(2, 2))
 
 
 @pytest.mark.parametrize("N", N_VALUES)

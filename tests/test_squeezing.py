@@ -67,6 +67,28 @@ class TestDirectStats:
         stats = direct_stats(gbs_state(GbsParams(8, 0.3, 0.9), dim=11))
         assert stats.var_X * stats.var_P >= 1 - 1e-9
 
+    @pytest.mark.parametrize("dim", [3, 4, 10, 101, 500, 1000])
+    def test_matches_dense_quadrature_ops(self, dim):
+        # the dense oracle: Var = <K^2> - <K>^2 from the (dim x dim) matrices, with
+        # N = dim - 3 the highest populated level
+        rng = np.random.default_rng(dim)
+        ax, ap = quadrature_ops(dim)
+        for k in range(6):
+            if k % 2:
+                v = np.zeros(dim, dtype=np.complex128)
+                v[: dim - 2] = rng.normal(size=dim - 2) + 1j * rng.normal(size=dim - 2)
+                psi = StateVector(v / np.linalg.norm(v))
+            else:
+                psi = gbs_state(GbsParams(dim - 3, rng.random(), rng.random() * TWO_PI), dim=dim)
+            dense = []
+            for op in (ax.entries, ap.entries):
+                vec = op @ psi.amp
+                mean = float(np.real(np.vdot(psi.amp, vec)))
+                dense += [mean, float(np.real(np.vdot(vec, vec))) - mean * mean]
+            stats = direct_stats(psi)
+            got = [stats.mean_X, stats.var_X, stats.mean_P, stats.var_P]
+            assert np.abs(np.subtract(got, dense)).max() <= 1e-12 * (dim - 2)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             direct_stats(StateVector([1.0, 1.0, 0.0, 0.0]))

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from gbstates import resolution
+from gbstates import hp_algebra, resolution
 from gbstates.verify import GROUPS, VerifyConfig, run_verification
 
 
@@ -88,3 +88,42 @@ def test_missing_under_resolved_warning_fails_the_check(monkeypatch):
     report = run_verification(VerifyConfig(groups=("completeness",), n=3))
     check = _warned_check(report)
     assert check["passed"] is False and check["warnings"] == []
+
+
+def _check(report, name):
+    (check,) = [c for g in report["groups"] for c in g["checks"] if c["name"] == name]
+    return check
+
+
+@pytest.mark.parametrize("n", [None, 0, 1, 5])
+def test_link_oracle_check_passes(n):
+    report = run_verification(VerifyConfig(groups=("rotation",), n=n))
+    check = _check(report, "link-vs-expm-oracle")
+    assert check["passed"] is True and check["bound"] == 1e-12
+
+
+def test_link_oracle_check_catches_a_sign_error(monkeypatch):
+    # composing with alpha where alpha/2 belongs flips the sign of T at odd N
+    link = hp_algebra.link_operator
+
+    def flipped(N, a, b):
+        return link(N, a, b) * (-1.0) ** N
+
+    monkeypatch.setattr(hp_algebra, "link_operator", flipped)
+    report = run_verification(VerifyConfig(groups=("rotation",), n=5))
+    assert _check(report, "link-vs-expm-oracle")["passed"] is False
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_negative_n_rejected_before_any_group_runs(group):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        run_verification(VerifyConfig(groups=(group,), n=-1))
+
+
+def test_timings_add_only_a_seconds_field_per_group():
+    cfg = VerifyConfig(groups=("gbs", "coherent"), n=3)
+    plain = run_verification(cfg)
+    timed = run_verification(VerifyConfig(groups=cfg.groups, n=3, timings=True))
+    assert all("seconds" not in g for g in plain["groups"])
+    assert all(g.pop("seconds") >= 0.0 for g in timed["groups"])
+    assert timed == plain
