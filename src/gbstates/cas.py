@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gbs import BlochAngles, binomial_amplitudes, log_binomial
+from .gbs import BlochAngles, _phased_row, binomial_amplitudes, log_binomial
 from .hilbert import OperatorMatrix, StateVector
 from .hp_algebra import PseudoSpinSet, RotationSpec, _rotated_set, hp_operators
 from .hp_algebra import rotation_operator
@@ -150,8 +150,7 @@ def cas_state(params: CasParams) -> StateVector:
         mods = binomial_amplitudes(two_j, math.sin(half) ** 2)[::-1]
     else:
         mods = binomial_amplitudes(two_j, math.cos(half) ** 2)
-    n = np.arange(two_j + 1)
-    amp = mods * np.exp(-1j * n * params.angles.varphi)
+    amp = _phased_row(mods, -1j * params.angles.varphi)
     amp /= np.linalg.norm(amp)
     return StateVector(amp)
 

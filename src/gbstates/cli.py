@@ -159,8 +159,8 @@ def _load_state_file(path: str) -> np.ndarray:
 def cmd_expand(args) -> int:
     amp = _load_state_file(args.state_file)
     n = args.N if args.N is not None else amp.size - 1
-    n_theta = args.theta_nodes if args.theta_nodes else math.ceil((n + 1) / 2) + 2
-    n_phi = args.phi_nodes if args.phi_nodes else n + 3
+    n_theta = args.theta_nodes if args.theta_nodes is not None else math.ceil((n + 1) / 2) + 2
+    n_phi = args.phi_nodes if args.phi_nodes is not None else n + 3
     quad = SphereQuadrature.build(n_theta, n_phi)
     result = reconstruct(StateVector(amp), n, quad)
     payload = {"N": n, "amplitudes": _amplitude_list(result.amp)}

@@ -53,21 +53,63 @@ def _check_photon_number(N) -> None:
         raise ValueError(f"max photon number must be a non-negative integer, got {N}")
 
 
+# lgamma(k + 1) for k = 0.._LGAMMA.size - 1, shared by every binomial row;
+# read-only, and replaced by a longer copy only when a larger n is asked for
+_LGAMMA = np.empty(0)
+_LGAMMA.setflags(write=False)
+
+
 def _lgamma_table(n: int) -> np.ndarray:
-    """lgamma(k + 1) for k = 0..n, each entry the math.lgamma value."""
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    """lgamma(k + 1) for k = 0..n, each entry the math.lgamma value.
+
+    A read-only prefix view of the shared table, which grows to n + 1
+    entries when shorter and then costs 8 (n_max + 1) bytes. A growth that
+    fails (MemoryError) leaves the previous table in place. Each call reads
+    one reference to a finished table, so concurrent calls need no lock: a
+    growth lost to a racing one only costs a later regrowth.
+    """
+    global _LGAMMA
+    table = _LGAMMA
+    if n >= table.size:
+        start = table.size
+        tail = np.fromiter(map(math.lgamma, range(start + 1, n + 2)), float, n + 1 - start)
+        table = np.concatenate((table, tail))
+        table.setflags(write=False)
+        _LGAMMA = table
+    return table[: n + 1]
 
 
-def _log_binomial_row(n: int, lg: np.ndarray | None = None) -> np.ndarray:
+def _log_binomial_row(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n, entry for entry bit-equal to log_binomial(n, k).
 
-    lg is an _lgamma_table of size at least n + 1 (built when omitted), so
-    one table serves every row up to its size. The row repeats
-    log_binomial's two subtractions in the same order.
+    The row repeats log_binomial's two subtractions in the same order, on
+    the shared _lgamma_table.
     """
-    if lg is None:
-        lg = _lgamma_table(n)
-    return lg[n] - lg[: n + 1] - lg[n::-1]
+    lg = _lgamma_table(n)
+    return lg[n] - lg - lg[::-1]
+
+
+# numpy evaluates moduli * ramp in place as ramp *= moduli once the temporary
+# ramp holds this many bytes (temporary elision, NPY_MIN_ELIDE_BYTES)
+_ELIDE_BYTES = 256 * 1024
+
+
+def _phased_row(moduli: np.ndarray, step: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """moduli[n] * exp(step * n) for n = 0..moduli.size - 1, built in out
+    (a new array when None) and returned.
+
+    Bit-equal to moduli * np.exp(step * np.arange(moduli.size)) without its
+    temporaries, operand order included: numpy's complex product may fuse a
+    multiply-add, so the sign of a product that underflows to zero depends
+    on which factor comes first, and numpy swaps the two for large ramps.
+    """
+    if out is None:
+        out = np.empty(moduli.size, dtype=np.complex128)
+    np.multiply(step, np.arange(out.size), out=out)
+    np.exp(out, out=out)
+    if out.nbytes >= _ELIDE_BYTES:
+        return np.multiply(out, moduli, out=out)
+    return np.multiply(moduli, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -135,9 +177,7 @@ def gbs_state(params: GbsParams, dim: int | None = None) -> StateVector:
     if dim < N + 1:
         raise ValueError(f"need dim >= N+1 = {N + 1}, got {dim}")
     amp = np.zeros(dim, dtype=np.complex128)
-    amp[: N + 1] = binomial_amplitudes(N, params.p) * np.exp(
-        1j * params.phi * np.arange(N + 1)
-    )
+    _phased_row(binomial_amplitudes(N, params.p), 1j * params.phi, amp[: N + 1])
     amp /= np.linalg.norm(amp)
     return StateVector(amp)
 
@@ -159,7 +199,7 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
         # guard 0 * (-inf) at the edges: the n = 0 / n = N factors are exactly 1
         logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
         logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
-    terms = np.exp(logmod) * np.exp(1j * n * (b.phi - a.phi))
+    terms = _phased_row(np.exp(logmod, out=logmod), 1j * (b.phi - a.phi))
     return complex(np.sum(terms))
 
 
@@ -203,6 +243,6 @@ def coherent_state_truncated(alpha: complex, dim: int) -> StateVector:
         return StateVector(amp)
     n = np.arange(dim, dtype=float)
     logmod = -0.5 * a * a + n * math.log(a) - 0.5 * _lgamma_table(dim - 1)
-    amp[:] = np.exp(logmod) * np.exp(1j * n * np.angle(alpha))
+    _phased_row(np.exp(logmod, out=logmod), 1j * np.angle(alpha), amp)
     amp /= np.linalg.norm(amp)
     return StateVector(amp)

@@ -66,6 +66,8 @@ class SphereQuadrature:
 
     @classmethod
     def build(cls, n_theta: int, n_phi: int) -> "SphereQuadrature":
+        if n_theta < 1:
+            raise ValueError("need at least one polar node")
         u, w = np.polynomial.legendre.leggauss(n_theta)
         return cls(np.column_stack([np.arccos(u), w]), n_phi)
 
@@ -203,6 +205,8 @@ def reconstruct(psi: StateVector, N: int, quad: SphereQuadrature) -> StateVector
     near the p -> 0 edge. With exactness-grade grids this is the identity
     map on states supported on n <= N.
     """
+    if psi.dim < N + 1:
+        raise ValueError(f"state dimension {psi.dim} too small for N={N}: need N+1 = {N + 1}")
     if psi.dim > N + 1 and np.max(np.abs(psi.amp[N + 1 :])) > 1e-12:
         raise ValueError(f"state has support above n = {N}")
     _warn_if_under_resolved(N, quad)

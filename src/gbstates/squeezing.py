@@ -22,7 +22,6 @@ import numpy as np
 from .gbs import (
     GbsParams,
     _check_photon_number,
-    _lgamma_table,
     _log_binomial_row,
     gbs_state,
 )
@@ -111,11 +110,8 @@ def _cross_log_rows(N: int) -> list[np.ndarray]:
     """
     if N < 1:
         return []
-    lg = _lgamma_table(N)
-    logc = _log_binomial_row(N, lg)
-    return [
-        0.5 * (logc[: M + 1] + _log_binomial_row(M, lg)) for M in (N - 1, N - 2) if M >= 0
-    ]
+    logc = _log_binomial_row(N)
+    return [0.5 * (logc[: M + 1] + _log_binomial_row(M)) for M in (N - 1, N - 2) if M >= 0]
 
 
 def _cross_binomial_sum(half_logc: np.ndarray, p: float) -> float:

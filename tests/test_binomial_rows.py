@@ -6,12 +6,21 @@ operations in the same order, so every comparison is exact: bytes, not
 a tolerance.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gbstates import gbs
+from gbstates.cas import CasParams, cas_state
 from gbstates.gbs import (
+    BlochAngles,
     GbsParams,
     _lgamma_table,
     _log_binomial_row,
@@ -108,8 +117,8 @@ def test_log_binomial_row_is_bit_equal(N):
 
 @pytest.mark.parametrize("N", N_VALUES)
 def test_rows_sliced_from_a_larger_table_are_bit_equal(N):
-    lg = _lgamma_table(N + 5)
-    assert_bytes_equal(_log_binomial_row(N, lg), ref_logc(N))
+    _lgamma_table(N + 5)  # the shared table now reaches past N
+    assert_bytes_equal(_log_binomial_row(N), ref_logc(N))
 
 
 def test_lgamma_table_entries():
@@ -211,3 +220,196 @@ def test_coherent_state_bit_equal(alpha):
     want = np.exp(logmod) * np.exp(1j * n * np.angle(alpha))
     want /= np.linalg.norm(want)
     assert_bytes_equal(coherent_state_truncated(alpha, dim).amp, want)
+
+
+# --- the shared lgamma table ---------------------------------------------
+
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(gbs.__file__).resolve().parent.parent)
+GROWTH_NS = (10**3, 10**5)
+
+
+def table_dependent_digest(N):
+    """sha256 over the bytes of every table-backed result at N."""
+    h = hashlib.sha256()
+    for p, phi in ((0.37, 1.3), (0.999, 4.0)):
+        a = GbsParams(N, p, phi)
+        h.update(gbs_state(a).amp.tobytes())
+        z = gbs_overlap(a, GbsParams(N, 0.2, 0.4))
+        h.update(np.array([z.real, z.imag]).tobytes())
+        h.update(np.array(closed_form_indexes(N, p, phi)).tobytes())
+    rows = squeeze_scan(N, np.linspace(0.0, 1.0, 5), [0.0, 1.0])
+    h.update(np.array([(r.S_X, r.S_P) for r in rows]).tobytes())
+    h.update(coherent_state_truncated(3 + 2j, N + 1).amp.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fresh_process_digests():
+    """table_dependent_digest(N) from a new interpreter per N, whose table never exceeds N."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, TESTS, env.get("PYTHONPATH")]))
+    digests = {}
+    for N in GROWTH_NS:
+        script = f"from test_binomial_rows import table_dependent_digest as f; print(f({N}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[N] = proc.stdout.strip()
+    return digests
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Start the shared table from scratch; the previous one comes back afterwards."""
+    empty = np.empty(0)
+    empty.setflags(write=False)
+    monkeypatch.setattr(gbs, "_LGAMMA", empty)
+
+
+@pytest.mark.parametrize("order", [GROWTH_NS, GROWTH_NS[::-1]], ids=["ascending", "descending"])
+def test_results_do_not_depend_on_table_growth_order(empty_table, fresh_process_digests, order):
+    first = {N: table_dependent_digest(N) for N in order}
+    assert gbs._LGAMMA.size == max(GROWTH_NS) + 1
+    again = {N: table_dependent_digest(N) for N in GROWTH_NS}
+    assert first == again == fresh_process_digests
+
+
+def test_table_grows_only_on_demand_and_serves_prefixes(empty_table):
+    lg = _lgamma_table(7)
+    assert gbs._LGAMMA.size == 8
+    assert _lgamma_table(3).base is gbs._LGAMMA and gbs._LGAMMA.size == 8
+    _lgamma_table(100)
+    assert gbs._LGAMMA.size == 101
+    assert_bytes_equal(_lgamma_table(7), lg)
+
+
+def test_concurrent_growth_serves_whole_tables(empty_table):
+    want = np.array([math.lgamma(k + 1) for k in range(4001)])
+    sizes = [int(x) for x in np.random.default_rng(9).integers(0, 4000, size=400)]
+    bad = []
+
+    def worker(offset):
+        for n in sizes[offset::8]:
+            lg = _lgamma_table(n)
+            if lg.size != n + 1 or lg.tobytes() != want[: n + 1].tobytes():
+                bad.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_shared_table_is_read_only():
+    lg = _lgamma_table(20)
+    with pytest.raises(ValueError, match="read-only"):
+        lg[3] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        gbs._LGAMMA[0] = 1.0
+
+
+def test_failed_growth_keeps_the_previous_table(empty_table, monkeypatch, fresh_process_digests):
+    N = GROWTH_NS[0]
+    before = table_dependent_digest(N)
+    table = gbs._LGAMMA
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "fromiter", no_memory)
+    with pytest.raises(MemoryError):
+        gbs_state(GbsParams(2 * N, 0.3))
+    with pytest.raises(MemoryError):
+        _lgamma_table(10**11)
+    assert gbs._LGAMMA is table
+    # smaller N are served from the kept table, without growing it
+    assert table_dependent_digest(N) == before == fresh_process_digests[N]
+    params = GbsParams(300, 0.77, 1.3)
+    assert_bytes_equal(gbs_state(params).amp, ref_gbs_amp(params))
+
+
+# --- in-place phase ramps against the out-of-place products they replaced ---
+
+RAMP_NS = (0, 1, 2, 7, 300)
+RAMP_PS = (0.0, 1.0, 0.37, 1e-9, 1.0 - 1e-9)
+RAMP_PHIS = (0.0, 1.3, -2.7, -1e6, 1e6)
+
+
+@pytest.mark.parametrize("N", (10**4, 16382, 16383, 10**5))
+@pytest.mark.parametrize("p", (0.37, 0.77))
+def test_in_place_ramps_keep_the_sign_of_underflowed_zeros(N, p):
+    # about N = 16383 numpy starts to evaluate moduli * ramp as ramp *= moduli;
+    # the two orders differ in the sign of zero where the tail moduli underflow
+    phi = -2.7
+    params = GbsParams(N, p, phi)
+    assert_bytes_equal(gbs_state(params).amp, out_of_place_gbs_amp(params, N + 1))
+    other = GbsParams(N, 0.999, 1.0)
+    for a, b in ((params, other), (other, params)):
+        got, want = gbs_overlap(a, b), ref_gbs_overlap(a, b)
+        assert (got.real, got.imag) == (want.real, want.imag)
+    angles = BlochAngles(2.0 * math.acos(math.sqrt(p)), phi)
+    assert_bytes_equal(cas_state(CasParams(N / 2, angles)).amp, out_of_place_cas_amp(N, angles))
+    assert_bytes_equal(
+        coherent_state_truncated(3 - 2j, N + 1).amp, out_of_place_coherent_amp(3 - 2j, N + 1)
+    )
+
+
+def out_of_place_gbs_amp(params, dim):
+    N = params.N
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[: N + 1] = binomial_amplitudes(N, params.p) * np.exp(
+        1j * params.phi * np.arange(N + 1)
+    )
+    amp /= np.linalg.norm(amp)
+    return amp
+
+
+def out_of_place_cas_amp(two_j, angles):
+    half = angles.theta / 2.0
+    if half < math.pi / 4.0:
+        mods = binomial_amplitudes(two_j, math.sin(half) ** 2)[::-1]
+    else:
+        mods = binomial_amplitudes(two_j, math.cos(half) ** 2)
+    n = np.arange(two_j + 1)
+    amp = mods * np.exp(-1j * n * angles.varphi)
+    amp /= np.linalg.norm(amp)
+    return amp
+
+
+def out_of_place_coherent_amp(alpha, dim):
+    a = abs(alpha)
+    n = np.arange(dim, dtype=float)
+    logmod = -0.5 * a * a + n * math.log(a) - 0.5 * _lgamma_table(dim - 1)
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[:] = np.exp(logmod) * np.exp(1j * n * np.angle(alpha))
+    amp /= np.linalg.norm(amp)
+    return amp
+
+
+@pytest.mark.parametrize("N", RAMP_NS)
+@pytest.mark.parametrize("p", RAMP_PS)
+def test_in_place_ramps_are_bit_equal_to_the_out_of_place_products(N, p):
+    for phi in RAMP_PHIS:
+        params = GbsParams(N, p, phi)
+        for dim in (N + 1, N + 4):
+            assert_bytes_equal(gbs_state(params, dim).amp, out_of_place_gbs_amp(params, dim))
+        for other in (GbsParams(N, 0.2, -phi), GbsParams(N, 1.0 - p, phi + 3.0), params):
+            # both orders, so that the phase difference takes either sign
+            for a, b in ((params, other), (other, params)):
+                got, want = gbs_overlap(a, b), ref_gbs_overlap(a, b)
+                assert (got.real, got.imag) == (want.real, want.imag)
+        theta = 2.0 * math.atan2(math.sqrt(1.0 - p), math.sqrt(p))
+        for angles in (BlochAngles(theta, phi), BlochAngles(math.pi - theta, -phi)):
+            assert_bytes_equal(
+                cas_state(CasParams(N / 2, angles)).amp, out_of_place_cas_amp(N, angles)
+            )

@@ -175,6 +175,27 @@ class TestExpand:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--theta-nodes", "at least one polar node"), ("--phi-nodes", "at least one azimuthal node")],
+    )
+    def test_zero_node_count_is_usage_error(self, capsys, tmp_path, option, message):
+        state_file = tmp_path / "state.json"
+        state_file.write_text('{"amplitudes": [{"re": 0.6, "im": 0.0}, {"re": 0.0, "im": 0.8}]}')
+        code, out, err = run_cli(capsys, "expand", str(state_file), option, "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need {message}\n"
+
+    def test_n_above_state_dimension_names_both(self, capsys, tmp_path):
+        state_file = tmp_path / "state.json"
+        code, out, _ = run_cli(capsys, "state", "-N", "2", "-p", "0.3")
+        state_file.write_text(out)
+        code, out, err = run_cli(capsys, "expand", str(state_file), "-N", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: state dimension 3 too small for N=5: need N+1 = 6\n"
+
 
 class TestNonFiniteAngles:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

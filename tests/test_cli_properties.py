@@ -1,8 +1,9 @@
 """Hypothesis properties of the CLI exit codes, run in-process through cli.main.
 
-Bad numbers (a non-finite angle, probability or tolerance, a negative N)
-exit 2 with one "error:" line and no output; valid small inputs exit 0 or 1,
-raise nothing, and print strict JSON, without NaN or Infinity.
+Bad numbers (a non-finite angle, probability or tolerance, a negative N, a
+node count below one) exit 2 with one "error:" line and no output; valid
+small inputs exit 0 or 1, raise nothing, and print strict JSON, without NaN
+or Infinity.
 """
 
 import io
@@ -18,6 +19,7 @@ from gbstates.cli import main
 
 NON_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"])
 NEGATIVE = st.integers(-10**12, -1).map(str)
+NON_POSITIVE = st.integers(-10**12, 0).map(str)
 PHASES = st.floats(-1e6, 1e6).map(repr)
 PROBABILITIES = st.floats(0.0, 1.0).map(repr)
 CHEAP_GROUPS = ("gbs", "coherent", "squeezing")
@@ -61,7 +63,9 @@ def bad_argv(draw, state_paths):
     if kind == "squeeze-scan":
         return [kind, "-N", draw(NEGATIVE), "--p-steps", "2", "--phi-steps", "2"]
     if kind == "expand":
-        return [kind, draw(st.sampled_from(state_paths)), "-N", draw(NEGATIVE)]
+        option = draw(st.sampled_from(["-N", "--theta-nodes", "--phi-nodes"]))
+        bad = draw(NEGATIVE if option == "-N" else NON_POSITIVE)
+        return [kind, draw(st.sampled_from(state_paths)), option, bad]
     if kind == "verify":
         group = draw(st.sampled_from(CHEAP_GROUPS + ("completeness", "rotation")))
         if draw(st.booleans()):

@@ -27,6 +27,12 @@ def test_import_leaves_mpmath_unloaded():
     assert proc.stdout == b"False\n"
 
 
+def test_import_builds_no_lgamma_table():
+    proc = run_python("-c", "import gbstates.gbs as g; print(g._LGAMMA.size)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"0\n"
+
+
 def test_import_leaves_scipy_unloaded():
     proc = run_python("-c", "import sys, gbstates; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
