@@ -23,10 +23,14 @@ from .hilbert import StateVector
 TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(x: float) -> float:
-    """Map an angle to the canonical interval [0, 2*pi); reject inf and NaN."""
+def _check_angle(x: float) -> None:
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {x}")
+
+
+def normalize_angle(x: float) -> float:
+    """Map an angle to the canonical interval [0, 2*pi); reject inf and NaN."""
+    _check_angle(x)
     return float(np.mod(x, TWO_PI))
 
 
@@ -51,6 +55,11 @@ def log_binomial(n: int, k: int) -> float:
 def _check_photon_number(N) -> None:
     if N < 0 or int(N) != N:
         raise ValueError(f"max photon number must be a non-negative integer, got {N}")
+
+
+def _check_probability(p) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
 
 
 # lgamma(k + 1) for k = 0.._LGAMMA.size - 1, shared by every binomial row;
@@ -79,14 +88,81 @@ def _lgamma_table(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
-def _log_binomial_row(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, entry for entry bit-equal to log_binomial(n, k).
+def _log_binomial_row(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """log C(n, k) for k = lo..hi - 1 (default the whole row k = 0..n), entry
+    for entry bit-equal to log_binomial(n, k).
 
     The row repeats log_binomial's two subtractions in the same order, on
     the shared _lgamma_table.
     """
+    if hi is None:
+        hi = n + 1
     lg = _lgamma_table(n)
-    return lg[n] - lg - lg[::-1]
+    return lg[n] - lg[lo:hi] - lg[n - hi + 1 : n - lo + 1][::-1]
+
+
+# np.exp gives exactly +0.0 below log(2^-1075) = -745.13...; a row term whose
+# log lies below this floor is a zero
+_EXP_FLOOR = -746.0
+
+
+def _support(N: int, log_r: float, log_q: float, log_floor: float) -> tuple[int, int]:
+    """Index interval [lo, hi) of a binomial row outside which every term
+    lies below log_floor.
+
+    The row is log C(N,n) + n log_r + (N-n) log_q with r + q = 1, as its
+    callers compute it from the lgamma table; log_r or log_q may be -inf.
+    By the Chernoff bound it lies below g(n) = -N D(n/N || r), the
+    Kullback-Leibler divergence, which is concave in n with its maximum 0
+    at n = N r, so the terms at or above the floor form one interval.
+    A margin of 1 plus 1e-12 of the row's magnitude covers the roundoff of
+    the row and of g. The whole row is returned after an O(1) test of its
+    two ends; otherwise each end is found by bisection, O(log N).
+    """
+    if N == 0:
+        return 0, 1  # the row is log C(0, 0) = 0, above every floor the callers use
+    if log_floor > 0.0:  # no binomial probability exceeds 1
+        return 0, 0
+    if log_r == -math.inf:
+        return 0, 1
+    if log_q == -math.inf:
+        return N, N + 1
+    threshold = log_floor - 1.0 - 1e-12 * (
+        N * (4.0 * math.log(N + 1.0) - log_r - log_q) - log_floor
+    )
+    if N * min(log_r, log_q) >= threshold:
+        return 0, N + 1
+
+    def above(n: int) -> bool:
+        m = N - n
+        g = n * log_r + m * log_q
+        if n:
+            g -= n * math.log(n / N)
+        if m:
+            g -= m * math.log(m / N)
+        return g >= threshold
+
+    # the integer maximum of the concave g is at floor(N r) or the next index
+    peak = min(int(N * math.exp(log_r)), N)
+    if not above(peak):
+        peak += 1
+        if peak > N or not above(peak):
+            return 0, 0
+    lo, good = 0, peak  # g(lo - 1) < threshold <= g(good)
+    while lo < good:
+        mid = (lo + good) // 2
+        if above(mid):
+            good = mid
+        else:
+            lo = mid + 1
+    good, hi = peak, N + 1  # g(good) >= threshold > g(hi)
+    while good + 1 < hi:
+        mid = (good + hi) // 2
+        if above(mid):
+            good = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 # numpy evaluates moduli * ramp in place as ramp *= moduli once the temporary
@@ -94,22 +170,30 @@ def _log_binomial_row(n: int) -> np.ndarray:
 _ELIDE_BYTES = 256 * 1024
 
 
-def _phased_row(moduli: np.ndarray, step: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """moduli[n] * exp(step * n) for n = 0..moduli.size - 1, built in out
-    (a new array when None) and returned.
+def _phased_row(
+    moduli: np.ndarray, step: complex, out: np.ndarray | None = None, start: int = 0
+) -> np.ndarray:
+    """moduli[k] * exp(step * (start + k)) for k = 0..moduli.size - 1, built in
+    out[start : start + moduli.size] (out a new array of moduli.size
+    entries when None); returns out.
 
     Bit-equal to moduli * np.exp(step * np.arange(moduli.size)) without its
     temporaries, operand order included: numpy's complex product may fuse a
     multiply-add, so the sign of a product that underflows to zero depends
     on which factor comes first, and numpy swaps the two for large ramps.
+    The order is that of the product over the whole of out, so a slice
+    built at start matches the same entries of the whole row's product.
     """
     if out is None:
         out = np.empty(moduli.size, dtype=np.complex128)
-    np.multiply(step, np.arange(out.size), out=out)
-    np.exp(out, out=out)
+    row = out[start : start + moduli.size]
+    np.multiply(step, np.arange(start, start + row.size), out=row)
+    np.exp(row, out=row)
     if out.nbytes >= _ELIDE_BYTES:
-        return np.multiply(out, moduli, out=out)
-    return np.multiply(moduli, out, out=out)
+        np.multiply(row, moduli, out=row)
+    else:
+        np.multiply(moduli, row, out=row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,19 +238,25 @@ def binomial_amplitudes(N: int, p: float) -> np.ndarray:
 
     Evaluated through log-gamma, so the result stays finite for every N;
     the relative error grows like N * eps (see log_binomial). The p = 0
-    and p = 1 limits are exact (0^0 treated as 1).
+    and p = 1 limits are exact (0^0 treated as 1). Costs an O(N) zero fill
+    plus O(sqrt(N p (1-p))) logs and exps: only the _support interval,
+    outside which every modulus underflows to +0.0, is evaluated.
     """
+    _check_photon_number(N)
+    _check_probability(p)
+    w = np.zeros(N + 1)
     if p == 0.0:
-        w = np.zeros(N + 1)
         w[0] = 1.0
         return w
     if p == 1.0:
-        w = np.zeros(N + 1)
         w[N] = 1.0
         return w
-    n = np.arange(N + 1, dtype=float)
-    logw = 0.5 * (_log_binomial_row(N) + n * math.log(p) + (N - n) * math.log1p(-p))
-    return np.exp(logw)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lo, hi = _support(N, log_p, log_q, 2.0 * _EXP_FLOOR)
+    n = np.arange(lo, hi, dtype=float)
+    logw = 0.5 * (_log_binomial_row(N, lo, hi) + n * log_p + (N - n) * log_q)
+    np.exp(logw, out=w[lo:hi])
+    return w
 
 
 def gbs_state(params: GbsParams, dim: int | None = None) -> StateVector:
@@ -187,19 +277,30 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
 
     Sums C(N,n) (p p')^(n/2) [(1-p)(1-p')]^((N-n)/2) e^(i n (phi'-phi)) directly
     from the parameters; vanishes exactly at the antipodal pair (1-p, phi+pi).
+    The terms are s^N times a binomial row in r = sqrt(p p') / s, with
+    s = sqrt(p p') + sqrt((1-p)(1-p')), so only the _support interval of
+    that row is evaluated: an O(N) zero fill plus O(sqrt(N r (1-r))) work,
+    and O(1) when s^N underflows, as for an antipode far from p = 1/2.
+    The sum runs over the whole zero-padded row, in the pairwise order of
+    the full evaluation.
     """
     if a.N != b.N:
         raise ValueError(f"max photon numbers differ: {a.N} != {b.N}")
     N = a.N
-    n = np.arange(N + 1, dtype=float)
-    logmod = _log_binomial_row(N)
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = np.log(a.p * b.p)
         lq = np.log((1.0 - a.p) * (1.0 - b.p))
+        log_s = np.logaddexp(0.5 * lp, 0.5 * lq)
+        lo, hi = _support(N, 0.5 * lp - log_s, 0.5 * lq - log_s, _EXP_FLOOR - N * log_s)
+        if lo == hi:
+            return 0j
+        n = np.arange(lo, hi, dtype=float)
+        logmod = _log_binomial_row(N, lo, hi)
         # guard 0 * (-inf) at the edges: the n = 0 / n = N factors are exactly 1
         logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
         logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
-    terms = _phased_row(np.exp(logmod, out=logmod), 1j * (b.phi - a.phi))
+    terms = np.zeros(N + 1, dtype=np.complex128)
+    _phased_row(np.exp(logmod, out=logmod), 1j * (b.phi - a.phi), terms, lo)
     return complex(np.sum(terms))
 
 

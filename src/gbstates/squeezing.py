@@ -20,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbs import (
+    _EXP_FLOOR,
     GbsParams,
+    _check_angle,
     _check_photon_number,
+    _check_probability,
     _log_binomial_row,
+    _support,
     gbs_state,
 )
 from .hilbert import OperatorMatrix, StateVector
@@ -114,28 +118,38 @@ def _cross_log_rows(N: int) -> list[np.ndarray]:
     return [0.5 * (logc[: M + 1] + _log_binomial_row(M)) for M in (N - 1, N - 2) if M >= 0]
 
 
-def _cross_binomial_sum(half_logc: np.ndarray, p: float) -> float:
-    """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1,
-    from its _cross_log_rows row."""
-    M = half_logc.size - 1
-    n = np.arange(M + 1, dtype=float)
-    logs = half_logc + (n * math.log(p) + (M - n) * math.log1p(-p))
-    return float(np.sum(np.exp(logs)))
+def _cross_binomial_sum(N: int, M: int, p: float, half_logc: np.ndarray | None) -> float:
+    """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1.
+
+    Since C(N,n) <= N^(N-M) C(M,n), each term is at most N^((N-M)/2) times
+    the binomial row C(M,n) p^n (1-p)^(M-n), so only that row's _support
+    interval is evaluated: from half_logc, the _cross_log_rows row of M,
+    when given, else built on the interval alone. The sum runs over the
+    whole zero-padded row, in the pairwise order of the full evaluation.
+    """
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lo, hi = _support(M, log_p, log_q, _EXP_FLOOR - 0.5 * (N - M) * math.log(N))
+    if half_logc is None:
+        half_logc = 0.5 * (_log_binomial_row(N, lo, hi) + _log_binomial_row(M, lo, hi))
+    else:
+        half_logc = half_logc[lo:hi]
+    n = np.arange(lo, hi, dtype=float)
+    terms = np.zeros(M + 1)
+    np.exp(half_logc + (n * log_p + (M - n) * log_q), out=terms[lo:hi])
+    return float(np.sum(terms))
 
 
 def _squeezing_terms(N: int, p: float, cross_rows: list[np.ndarray] | None) -> SqueezingTerms:
-    """A(N,p) and B(N,p) from the _cross_log_rows(N) rows, built here when None."""
+    """A(N,p) and B(N,p), from the _cross_log_rows(N) rows when given."""
     _check_photon_number(N)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    _check_probability(p)
     if p in (0.0, 1.0) or N == 0:
         return SqueezingTerms(0.0, 0.0)
-    if cross_rows is None:
-        cross_rows = _cross_log_rows(N)
-    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * _cross_binomial_sum(cross_rows[0], p)
+    rows = cross_rows or (None, None)
+    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * _cross_binomial_sum(N, N - 1, p, rows[0])
     if N < 2:
         return SqueezingTerms(0.0, b)
-    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * _cross_binomial_sum(cross_rows[1], p)
+    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * _cross_binomial_sum(N, N - 2, p, rows[1])
     return SqueezingTerms(a, b)
 
 
@@ -144,20 +158,29 @@ def squeezing_terms(N: int, p: float) -> SqueezingTerms:
     return _squeezing_terms(N, p, None)
 
 
-def _indexes_from_terms(
-    N: int, p: float, phi: float, terms: SqueezingTerms
-) -> tuple[float, float]:
-    """(S_X, S_P) from A and B: the paper's closed form, written once."""
+def _angle_factors(phi):
+    """(cos 2phi, cos^2 phi, sin^2 phi) of a finite angle, by math."""
+    _check_angle(phi)
+    return math.cos(2.0 * phi), math.cos(phi) ** 2, math.sin(phi) ** 2
+
+
+def _indexes_from_terms(N: int, p: float, terms: SqueezingTerms, cos2, cos_sq, sin_sq):
+    """(S_X, S_P) from A, B and the _angle_factors: the paper's closed form,
+    written once, for one angle (floats) or a grid of angles (arrays)."""
     a, b2 = terms.A_term, terms.B_term ** 2
-    cos2 = math.cos(2.0 * phi)
-    s_x = -2.0 * N * p - a * cos2 + b2 * math.cos(phi) ** 2
-    s_p = -2.0 * N * p + a * cos2 + b2 * math.sin(phi) ** 2
+    s_x = -2.0 * N * p - a * cos2 + b2 * cos_sq
+    s_p = -2.0 * N * p + a * cos2 + b2 * sin_sq
     return s_x, s_p
 
 
 def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
-    """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>."""
-    return _indexes_from_terms(N, p, phi, squeezing_terms(N, p))
+    """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>.
+
+    Costs an O(N) zero fill plus O(sqrt(N p (1-p))) work: the binomial
+    cross sums are evaluated only where their terms do not underflow.
+    """
+    terms = squeezing_terms(N, p)
+    return _indexes_from_terms(N, p, terms, *_angle_factors(phi))
 
 
 def squeeze_scan(
@@ -187,10 +210,13 @@ def squeeze_scan(
                 rows.append(SqueezeRow(N, p, phi, stats.S_X, stats.S_P, source, stats))
         return rows
     _check_photon_number(N)
+    cos2, cos_sq, sin_sq = np.array([_angle_factors(phi) for phi in phi_grid]).T
     cross_rows = _cross_log_rows(N)
     for p in p_grid:
         terms = _squeezing_terms(N, p, cross_rows)
-        for phi in phi_grid:
-            s_x, s_p = _indexes_from_terms(N, p, phi, terms)
-            rows.append(SqueezeRow(N, p, phi, s_x, s_p, source))
+        s_x, s_p = _indexes_from_terms(N, p, terms, cos2, cos_sq, sin_sq)
+        rows.extend(
+            SqueezeRow(N, p, phi, x, y, source)
+            for phi, x, y in zip(phi_grid, s_x.tolist(), s_p.tolist())
+        )
     return rows

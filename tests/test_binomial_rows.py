@@ -16,12 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gbstates import gbs
+from gbstates import gbs, squeezing
 from gbstates.cas import CasParams, cas_state
 from gbstates.gbs import (
     BlochAngles,
     GbsParams,
+    _EXP_FLOOR,
     _lgamma_table,
     _log_binomial_row,
     binomial_amplitudes,
@@ -35,6 +38,9 @@ from gbstates.resolution import expansion_amplitude_series
 from gbstates.squeezing import SqueezingTerms, closed_form_indexes, squeeze_scan, squeezing_terms
 
 N_VALUES = (0, 1, 2, 7, 300, 10**4)
+# the vector paths evaluate rows only on their support; at N = 1e5 most of
+# every row underflows, and an antipode far from p = 1/2 underflows entirely
+LARGE_N_VALUES = N_VALUES + (10**5,)
 P_VALUES = (0.0, 1.0, 0.5, 0.013, 0.77, 1e-9, 1.0 - 1e-9)
 
 
@@ -126,7 +132,7 @@ def test_lgamma_table_entries():
     assert _lgamma_table(0).tolist() == [0.0]
 
 
-@pytest.mark.parametrize("N", N_VALUES)
+@pytest.mark.parametrize("N", LARGE_N_VALUES)
 @pytest.mark.parametrize("p", P_VALUES)
 def test_binomial_amplitudes_bit_equal(N, p):
     assert_bytes_equal(binomial_amplitudes(N, p), ref_binomial_amplitudes(N, p))
@@ -139,7 +145,7 @@ def test_gbs_state_bit_equal(N, p):
     assert_bytes_equal(gbs_state(params).amp, ref_gbs_amp(params))
 
 
-@pytest.mark.parametrize("N", N_VALUES)
+@pytest.mark.parametrize("N", LARGE_N_VALUES)
 @pytest.mark.parametrize("p", P_VALUES)
 def test_gbs_overlap_bit_equal(N, p):
     a = GbsParams(N, p, 0.2)
@@ -150,7 +156,7 @@ def test_gbs_overlap_bit_equal(N, p):
         assert (got.real, got.imag) == (want.real, want.imag)
 
 
-@pytest.mark.parametrize("N", N_VALUES)
+@pytest.mark.parametrize("N", LARGE_N_VALUES)
 @pytest.mark.parametrize("p", P_VALUES)
 def test_squeezing_terms_and_indexes_bit_equal(N, p):
     assert squeezing_terms(N, p) == ref_squeezing_terms(N, p)
@@ -158,7 +164,7 @@ def test_squeezing_terms_and_indexes_bit_equal(N, p):
         assert closed_form_indexes(N, p, phi) == ref_closed_form_indexes(N, p, phi)
 
 
-@pytest.mark.parametrize("N", (0, 1, 2, 5, 200, 10**4))
+@pytest.mark.parametrize("N", (0, 1, 2, 5, 200, 10**4, 10**5))
 def test_every_scan_row_equals_closed_form_indexes(N):
     p_grid = np.linspace(0.0, 1.0, 11)
     phi_grid = np.linspace(0.0, 2.0 * math.pi, 9)
@@ -413,3 +419,100 @@ def test_in_place_ramps_are_bit_equal_to_the_out_of_place_products(N, p):
             assert_bytes_equal(
                 cas_state(CasParams(N / 2, angles)).amp, out_of_place_cas_amp(N, angles)
             )
+
+
+# --- support intervals: every term outside them underflows to +0.0 ---------
+
+EDGE_PS = (0.0, 1.0, 5e-324, 2.2e-308, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53)
+probabilities = st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0))
+
+
+class RecordedSupports:
+    """Patches gbs._support where the vector paths call it and records each
+    (lo, hi) it returns, in call order."""
+
+    def __init__(self, monkeypatch):
+        self.intervals = []
+        real = gbs._support
+
+        def spy(*args):
+            interval = real(*args)
+            self.intervals.append(interval)
+            return interval
+
+        for module in (gbs, squeezing):
+            monkeypatch.setattr(module, "_support", spy)
+
+    def pop(self):
+        (interval,) = self.intervals
+        self.intervals.clear()
+        return interval
+
+
+def assert_positive_zeros_outside(full, interval):
+    lo, hi = interval
+    outside = np.concatenate((full[:lo], full[hi:]))
+    assert not outside.any() and not np.signbit(outside).any()
+
+
+def full_overlap_moduli(a, b):
+    """The overlap moduli over the whole row, as gbs_overlap computed them before
+    it evaluated the support alone."""
+    N = a.N
+    n = np.arange(N + 1, dtype=float)
+    logmod = _log_binomial_row(N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = np.log(a.p * b.p)
+        lq = np.log((1.0 - a.p) * (1.0 - b.p))
+        logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
+        logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
+    return np.exp(logmod)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 * 10**5), probabilities, probabilities)
+@example(10**5, 0.013, 0.987)  # an antipode whose every term underflows
+@example(10**5, 0.37, 0.37)
+@example(2 * 10**5, 5e-324, 1.0 - 2.0**-53)
+@example(1, 0.5, 0.0)
+@example(0, 0.0, 1.0)
+def test_rows_vanish_outside_their_support(N, p, p2):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorded = RecordedSupports(monkeypatch)
+        n = np.arange(N + 1, dtype=float)
+        amplitudes = binomial_amplitudes(N, p)
+        if 0.0 < p < 1.0:
+            logw = 0.5 * (_log_binomial_row(N) + n * math.log(p) + (N - n) * math.log1p(-p))
+            full = np.exp(logw)
+            assert_positive_zeros_outside(full, recorded.pop())
+            assert_bytes_equal(amplitudes, full)
+
+        a, b = GbsParams(N, p, 0.0), GbsParams(N, p2, 0.0)
+        z = gbs_overlap(a, b)
+        full = full_overlap_moduli(a, b)
+        assert_positive_zeros_outside(full, recorded.pop())
+        # equal phases: each term is its modulus, summed in complex pairwise order
+        want = complex(np.sum(full.astype(np.complex128)))
+        assert (z.real, z.imag) == (want.real, want.imag)
+
+        squeezing_terms(N, p)
+        if 0.0 < p < 1.0 and N > 0:
+            for row, interval in zip(squeezing._cross_log_rows(N), recorded.intervals):
+                M = row.size - 1
+                m = np.arange(M + 1, dtype=float)
+                full = np.exp(row + (m * math.log(p) + (M - m) * math.log1p(-p)))
+                assert_positive_zeros_outside(full, interval)
+            assert len(recorded.intervals) == min(N, 2)
+
+
+def test_support_covers_a_few_standard_deviations_at_large_n():
+    N = 10**5
+    for p in (0.5, 0.37, 1e-3):
+        lo, hi = gbs._support(N, math.log(p), math.log1p(-p), 2.0 * _EXP_FLOOR)
+        sigma = math.sqrt(N * p * (1.0 - p))
+        assert lo <= N * p <= hi and hi - lo < 120.0 * sigma
+    # the orthogonal partner far from p = 1/2 has no term above the floor
+    a = GbsParams(N, 0.2, 0.3)
+    log_s = math.log(2.0 * math.sqrt(0.2 * 0.8))
+    assert gbs._support(N, math.log(0.5), math.log(0.5), _EXP_FLOOR - N * log_s) == (0, 0)
+    assert gbs_overlap(a, gbs.orthogonal_partner(a)) == 0j

@@ -215,3 +215,15 @@ def test_binomial_amplitudes_normalized_up_to_n300():
     for n in (1, 10, 300):
         w = binomial_amplitudes(n, 0.37)
         assert np.sum(w**2) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [math.nan, 1.5, -0.25, math.inf])
+def test_binomial_amplitudes_reject_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=f"probability must lie in \\[0, 1\\], got {p}"):
+        binomial_amplitudes(10, p)
+
+
+@pytest.mark.parametrize("N", [-1, 2.5])
+def test_binomial_amplitudes_reject_bad_photon_number(N):
+    with pytest.raises(ValueError, match=f"non-negative integer, got {N}"):
+        binomial_amplitudes(N, 0.3)

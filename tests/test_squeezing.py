@@ -178,3 +178,13 @@ class TestSqueezeScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             squeeze_scan(2, [], [0.0])
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite_angle(phi):
+    with pytest.raises(ValueError, match=f"angle must be finite, got {phi}"):
+        closed_form_indexes(10, 0.3, phi)
+    with pytest.raises(ValueError, match=f"angle must be finite, got {phi}"):
+        squeeze_scan(10, [0.3, 0.7], [0.0, phi])
+    with pytest.raises(ValueError, match=f"angle must be finite, got {phi}"):
+        squeeze_scan(10, [0.3], [phi], source="direct")
