@@ -52,9 +52,10 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _check_photon_number(N) -> None:
-    if N < 0 or int(N) != N:
+def _check_photon_number(N) -> int:
+    if not 0 <= N < math.inf or int(N) != N:
         raise ValueError(f"max photon number must be a non-negative integer, got {N}")
+    return int(N)
 
 
 def _check_probability(p) -> None:
@@ -205,10 +206,9 @@ class GbsParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        _check_photon_number(self.N)
+        object.__setattr__(self, "N", _check_photon_number(self.N))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"single-photon probability must lie in [0, 1], got {self.p}")
-        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "phi", normalize_angle(self.phi))
 

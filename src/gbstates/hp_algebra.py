@@ -10,14 +10,17 @@ The atomic side (gbstates.cas) uses this ladder as its Dicke ladder, J = N/2:
 its operators, rotation and rotated set are the ones here under the paper's
 map p = cos^2(theta/2), phi = 2*pi - varphi.
 
-The rotation is computed from one eigensolve of the rotated J3', which is
-real symmetric tridiagonal after a diagonal phase similarity (the exact
-diagonalisation route to Wigner's d-matrix); the Delta basis of
-gbstates.delta_basis comes from the same solve. The operator linking two
-states is one rotation too, composed on the spin-1/2 matrices. The dense
-matrix exponential _ladder_rotation is kept as the oracle for the tests
-and verify, and for composition_residual, whose composite angle may
-exceed pi.
+One set of real bands carries the whole ladder (_ladder_bands): after a
+diagonal phase similarity the rotated J3' is a real symmetric tridiagonal T
+and e^(i phi) Jplus' a real banded M, and hp_operators is the set at p = 1.
+Every rotation is the spin-N/2 image of one 2 x 2 SU(2) matrix (_lift): the
+columns come from one eigensolve of T (the exact-diagonalisation route to
+Wigner's d-matrix), their signs from M, their phases from two ramps. The
+rotation operator, the operator linking two states (composed on the spin-1/2
+matrices) and the composite rotation of composition_residual, whose angle may
+exceed pi, are all such lifts; the Delta basis of gbstates.delta_basis comes
+from the same eigensolve. The dense matrix exponential _ladder_rotation is
+the oracle for the tests and verify only.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import BlochAngles, GbsParams, params_to_angles
-from .hilbert import OperatorMatrix, adjoint, expm, identity
+from .gbs import BlochAngles, GbsParams, _check_photon_number, normalize_angle, params_to_angles
+from .hilbert import OperatorMatrix, adjoint, expm
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,8 @@ class RotationSpec:
 
 
 def hp_operators(N: int) -> PseudoSpinSet:
-    """Holstein-Primakoff operator set for maximum excitation N."""
-    if N < 0:
-        raise ValueError(f"max excitation must be non-negative, got {N}")
-    dim = N + 1
-    n = np.arange(dim)
-    j3 = OperatorMatrix(np.diag((n - N / 2.0).astype(np.complex128)))
-    up = np.zeros((dim, dim), dtype=np.complex128)
-    k = np.arange(N)
-    up[k + 1, k] = np.sqrt((N - k) * (k + 1.0))
-    jplus = OperatorMatrix(up)
-    return PseudoSpinSet(N, j3, jplus, adjoint(jplus))
+    """Holstein-Primakoff operator set for maximum excitation N: the rotated set at p = 1."""
+    return _rotated_set(N, 1.0, 0.0, 1.0)
 
 
 def _ladder_rotation(N: int, eta: complex) -> OperatorMatrix:
@@ -99,78 +93,101 @@ def _ladder_rotation(N: int, eta: complex) -> OperatorMatrix:
 def rotation_operator(N: int, spec: RotationSpec) -> OperatorMatrix:
     """Bloch rotation exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder.
 
-    R = D R0 D^(-1) with D = diag(e^(-i n varphi)) and R0 the real rotation
-    at varphi = 0. Column m of R0 is the eigenvector of the tridiagonal T of
-    _rotated_j3_bands for m - N/2, its sign fixed by the ladder: column N is
-    the non-negative |N, p, 0>, and <R0_(m+1)| M |R0_m> > 0 for the real
-    banded M = R0 J+ R0^T = p J+ - q J- - 2 sqrt(pq) J3. So column N of R is
-    e^(i N varphi) |N, p, 2*pi - varphi>. p = cos^2(theta/2) and
-    q = sin^2(theta/2) are both taken from theta, which keeps the digits of
-    q near theta = 0. O(N^2) time and memory beyond the eigensolve.
+    The spin-N/2 image of the spin-1/2 rotation at the same angles (_lift).
+    p = cos^2(theta/2) and q = sin^2(theta/2) are both taken from theta, which
+    keeps the digits of q near theta = 0. Column N of R is
+    e^(i N varphi) |N, p, 2*pi - varphi>.
     """
     half = spec.angles.theta / 2.0
-    if N == 0 or half == 0.0:
-        return identity(N + 1)
-    p, q = math.cos(half) ** 2, math.sin(half) ** 2
+    return _lift(N, math.cos(half) ** 2, math.sin(half) ** 2, spec.angles.varphi)
+
+
+def _lift(N: int, p: float, q: float, phi: float, half_alpha: float = 0.0) -> OperatorMatrix:
+    """The spin-N/2 image of the spin-1/2 matrix
+    diag(e^(i a), e^(-i a)) [[c, e^(i phi) s], [-e^(-i phi) s, c]], c^2 = p, s^2 = q,
+    a = half_alpha: entry (n, m) is e^(i a (N - 2n)) e^(-i n phi) R0[n, m] e^(i m phi).
+
+    Column m of the real R0 is the eigenvector of the tridiagonal T of _ladder_bands
+    for m - N/2, its sign fixed by the ladder: column N is the non-negative
+    |N, p, 0>, and <R0_(m+1)| M |R0_m> > 0 for the banded M = R0 J+ R0^T. a rather
+    than 2a carries the sign of the spin-1/2 matrix that an odd N sees. O(N^2)
+    time and memory beyond the eigensolve.
+    """
+    N = _check_photon_number(N)
+    tilt = _phase_ramp(N, half_alpha)
+    row = tilt[::-1] * np.conj(tilt)  # e^(i a (N - 2n))
+    if N == 0 or q == 0.0:
+        return OperatorMatrix(np.diag(row))
     v = _ladder_eigenvectors(N, p, q)
-    up = np.sqrt((N - np.arange(N)) * (np.arange(N) + 1.0))[:, None]
-    j3 = (np.arange(N + 1) - N / 2.0)[:, None]
-    # <v_(m+1)| M |v_m> for m = 0..N-1, each O(N)
+    _, (m_diag, m_sub, m_sup) = _ladder_bands(N, p, q)
+    # <v_(m+1)| M |v_m> for m = 0..N-1, band by band
     link = (
-        p * np.sum(v[1:, 1:] * up * v[:-1, :-1], axis=0)
-        - q * np.sum(v[:-1, 1:] * up * v[1:, :-1], axis=0)
-        - 2.0 * math.sqrt(p * q) * np.sum(v[:, 1:] * j3 * v[:, :-1], axis=0)
+        np.sum(v[1:, 1:] * m_sub[:, None] * v[:-1, :-1], axis=0)
+        + np.sum(v[:-1, 1:] * m_sup[:, None] * v[1:, :-1], axis=0)
+        + np.sum(v[:, 1:] * m_diag[:, None] * v[:, :-1], axis=0)
     )
     signs = np.append(np.cumprod(np.sign(link)[::-1])[::-1], 1.0) * np.sign(v[:, N].sum())
-    ramp = np.conj(_phase_ramp(N, spec.angles.varphi))  # e^(i n phi), phi = 2*pi - varphi
-    return OperatorMatrix(ramp[:, None] * (v * signs) * np.conj(ramp))
+    col = _phase_ramp(N, phi)
+    out = (row * np.conj(col))[:, None] * v
+    out *= signs * col
+    return OperatorMatrix(out)
 
 
 def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:
     """Primed operator set whose top-rung eigenvector is |N, p, phi>.
 
-    Built literally from the closed-form combinations
+    The closed-form combinations
 
         J3'    = (2p-1) J3 + sqrt(p(1-p)) (e^(i phi) J+ + e^(-i phi) J-)
         Jplus' = e^(-i phi) (p e^(i phi) J+ - (1-p) e^(-i phi) J- - 2 sqrt(p(1-p)) J3)
 
-    which coincide with conjugation of the unprimed set by the rotation
-    operator at the matching Bloch angles.
+    built from their bands, which coincide with conjugation of the unprimed set
+    by the rotation operator at the matching Bloch angles. phi is reduced to
+    [0, 2*pi) first, as GbsParams does; a non-finite phi is a ValueError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return _rotated_set(N, p, 1.0 - p, cmath.exp(1j * phi))
+    return _rotated_set(N, p, 1.0 - p, cmath.exp(1j * normalize_angle(phi)))
 
 
 def _rotated_set(N: int, p: float, q: float, ephi: complex) -> PseudoSpinSet:
     """rotated_operators with q = 1 - p and ephi = e^(i phi) given, so a caller holding
-    theta passes q = sin^2(theta/2): near p = 1, 1 - p has lost those digits."""
-    ops = hp_operators(N)
-    diag, off = _rotated_j3_bands(N, p, q)
-    j3p = np.diag(diag + 0j) + np.diag(ephi * off, -1) + np.diag(np.conj(ephi) * off, 1)
-    jplusp = np.conj(ephi) * (
-        p * ephi * ops.Jplus
-        - q * np.conj(ephi) * ops.Jminus
-        - 2.0 * math.sqrt(p * q) * ops.J3
+    theta passes q = sin^2(theta/2): near p = 1, 1 - p has lost those digits.
+    J3' = D T D^(-1) and Jplus' = e^(-i phi) D M D^(-1), D = diag(e^(i n phi))."""
+    N = _check_photon_number(N)
+    (t_diag, t_off), (m_diag, m_sub, m_sup) = _ladder_bands(N, p, q)
+    back = np.conj(ephi)
+    jplusp = _tridiagonal(back * m_diag, m_sub, back * back * m_sup)
+    return PseudoSpinSet(
+        N, _tridiagonal(t_diag, ephi * t_off, back * t_off), jplusp, adjoint(jplusp)
     )
-    return PseudoSpinSet(N, OperatorMatrix(j3p), jplusp, adjoint(jplusp))
 
 
-def _rotated_j3_bands(N: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of the real symmetric T with J3' = D T D^(-1), D = diag(e^(i n phi))."""
+def _tridiagonal(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> OperatorMatrix:
+    out = np.zeros((diag.size, diag.size), dtype=np.complex128)
+    n = np.arange(diag.size)
+    out[n, n], out[n[1:], n[:-1]], out[n[:-1], n[1:]] = diag, sub, sup
+    return OperatorMatrix(out)
+
+
+def _ladder_bands(N: int, p: float, q: float) -> tuple[tuple, tuple]:
+    """Real bands at phi = 0: T = J3' as (diagonal, off-diagonal) and M = e^(i phi) Jplus'
+    as (diagonal, sub-, super-diagonal), T = (2p-1) J3 + sqrt(pq) (J+ + J-) and
+    M = p J+ - q J- - 2 sqrt(pq) J3 on the ladder <k+1|J+|k> = sqrt((N-k)(k+1))."""
     n, k = np.arange(N + 1), np.arange(N)
-    return (2.0 * p - 1.0) * (n - N / 2.0), math.sqrt(p * q) * np.sqrt((N - k) * (k + 1.0))
+    j3, up, root = n - N / 2.0, np.sqrt((N - k) * (k + 1.0)), math.sqrt(p * q)
+    return ((2.0 * p - 1.0) * j3, root * up), (-2.0 * root * j3, p * up, -q * up)
 
 
 def _ladder_eigenvectors(N: int, p: float, q: float, m: int | None = None) -> np.ndarray:
-    """Real eigenvectors of T (_rotated_j3_bands) as columns, eigenvalue m - N/2 in
+    """Real eigenvectors of T (_ladder_bands) as columns, eigenvalue m - N/2 in
     column m, for m = 0..N or for the given m alone; each column's sign is arbitrary.
     N >= 1: eigh_tridiagonal takes no empty matrix.
     """
     from scipy.linalg import eigh_tridiagonal  # deferred: the vector paths never need scipy
 
     select = {} if m is None else {"select": "i", "select_range": (m, m)}
-    return eigh_tridiagonal(*_rotated_j3_bands(N, p, q), **select)[1]  # ascending m
+    return eigh_tridiagonal(*_ladder_bands(N, p, q)[0], **select)[1]  # ascending m
 
 
 def _phase_ramp(N: int, phi: float) -> np.ndarray:
@@ -187,33 +204,29 @@ def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:
     return _link(N, params_to_angles(a), params_to_angles(b))
 
 
-def _spin_half(angles: BlochAngles) -> np.ndarray:
-    """The rotation on the two-rung ladder n = 0, 1:
+def _spin_half(theta: float, varphi: float) -> np.ndarray:
+    """The rotation on the two-rung ladder n = 0, 1, for any real theta:
     [[c, e^(i varphi) s], [-e^(-i varphi) s, c]] with c, s = cos, sin(theta/2)."""
-    half = angles.theta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    e = cmath.exp(1j * angles.varphi)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    e = cmath.exp(1j * varphi)
     return np.array([[c, e * s], [-e.conjugate() * s, c]])
+
+
+def _lift_spin_half(N: int, u: np.ndarray) -> OperatorMatrix:
+    """The spin-N/2 image of an SU(2) matrix u, written as
+    diag(e^(i alpha/2), e^(-i alpha/2)) [[c, e^(i phi_c) s], [-e^(-i phi_c) s, c]]."""
+    c, s = abs(u[0, 0]), abs(u[0, 1])
+    half_alpha = cmath.phase(u[0, 0]) if c > 0.0 else 0.0
+    return _lift(N, c * c, s * s, cmath.phase(u[0, 1]) - half_alpha, half_alpha)
 
 
 def _link(N: int, a: BlochAngles, b: BlochAngles) -> OperatorMatrix:
     """R(b) R(a)^(-1) as one rotation: the spin-N/2 representation is a homomorphism,
     so the product is composed on the spin-1/2 matrices U = U(b) U(a)^+ and lifted once.
-
-    U = diag(e^(i alpha/2), e^(-i alpha/2)) R(beta, phi_c), which lifts to
-    e^(i (alpha/2)(N - 2n)) times row n of R(beta, phi_c). alpha/2 rather than
-    alpha carries the sign of U that an odd N sees. One eigensolve and O(N^2)
-    work, against two eigensolves and an (N+1)^3 product.
+    One eigensolve and O(N^2) work, against two eigensolves and an (N+1)^3 product.
     """
-    u = _spin_half(b) @ _spin_half(a).conj().T
-    c, s = abs(u[0, 0]), abs(u[0, 1])
-    half_alpha = cmath.phase(u[0, 0]) if c > 0.0 else 0.0
-    beta = 2.0 * math.atan2(s, c)
-    phi_c = cmath.phase(u[0, 1]) - half_alpha
-    r = rotation_operator(N, RotationSpec.from_angles(BlochAngles(beta, phi_c)))
-    ramp = _phase_ramp(N, half_alpha)
-    row_phase = ramp[::-1] * np.conj(ramp)  # e^(i (alpha/2)(N - n)) e^(-i (alpha/2) n)
-    return OperatorMatrix(row_phase[:, None] * r.entries)
+    u = _spin_half(b.theta, b.varphi) @ _spin_half(a.theta, a.varphi).conj().T
+    return _lift_spin_half(N, u)
 
 
 def composition_angles(a: BlochAngles, b: BlochAngles) -> tuple[float, float, complex]:
@@ -244,7 +257,6 @@ def composition_residual(N: int, a: BlochAngles, b: BlochAngles) -> float:
     """
     t = _link(N, a, b)
     big_theta, big_phi, phase = composition_angles(a, b)
-    # Theta may exceed pi, so pass eta directly instead of round-tripping
-    # through BlochAngles validation
-    r_comp = _ladder_rotation(N, (big_theta / 2.0) * cmath.exp(-1j * big_phi))
+    # Theta may exceed pi: R(Theta, Phi) is lifted from its spin-1/2 matrix as it stands
+    r_comp = _lift_spin_half(N, _spin_half(big_theta, big_phi))
     return float(np.linalg.norm(t.entries - phase * r_comp.entries))
