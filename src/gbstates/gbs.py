@@ -29,9 +29,14 @@ def _check_angle(x: float) -> None:
 
 
 def normalize_angle(x: float) -> float:
-    """Map an angle to the canonical interval [0, 2*pi); reject inf and NaN."""
+    """Map an angle to the canonical interval [0, 2*pi); reject inf and NaN.
+
+    A negative angle within about eps of 0 reduces to 2*pi - |x|, which
+    rounds to 2*pi itself; it is taken as 0.0, the angle it equals.
+    """
     _check_angle(x)
-    return float(np.mod(x, TWO_PI))
+    angle = float(np.mod(x, TWO_PI))
+    return 0.0 if angle == TWO_PI else angle
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -118,7 +123,11 @@ def _support(N: int, log_r: float, log_q: float, log_floor: float) -> tuple[int,
     at n = N r, so the terms at or above the floor form one interval.
     A margin of 1 plus 1e-12 of the row's magnitude covers the roundoff of
     the row and of g. The whole row is returned after an O(1) test of its
-    two ends; otherwise each end is found by bisection, O(log N).
+    two ends. Otherwise each end is found by Newton steps on g from the
+    Gaussian estimate N r -+ sqrt(2 |threshold| N r q) shifted by its
+    skew, kept inside the bracket the steps have established, and then
+    settled by testing g on the integers beside the root: a few
+    evaluations of g, not O(log N).
     """
     if N == 0:
         return 0, 1  # the row is log C(0, 0) = 0, above every floor the callers use
@@ -134,36 +143,62 @@ def _support(N: int, log_r: float, log_q: float, log_floor: float) -> tuple[int,
     if N * min(log_r, log_q) >= threshold:
         return 0, N + 1
 
-    def above(n: int) -> bool:
+    def g(n: float) -> float:
         m = N - n
-        g = n * log_r + m * log_q
+        v = n * log_r + m * log_q
         if n:
-            g -= n * math.log(n / N)
+            v -= n * math.log(n / N)
         if m:
-            g -= m * math.log(m / N)
-        return g >= threshold
+            v -= m * math.log(m / N)
+        return v
 
     # the integer maximum of the concave g is at floor(N r) or the next index
-    peak = min(int(N * math.exp(log_r)), N)
-    if not above(peak):
+    r, q = math.exp(log_r), math.exp(log_q)
+    mean = N * r
+    peak = min(int(mean), N)
+    if g(peak) < threshold:
         peak += 1
-        if peak > N or not above(peak):
+        if peak > N or g(peak) < threshold:
             return 0, 0
-    lo, good = 0, peak  # g(lo - 1) < threshold <= g(good)
-    while lo < good:
-        mid = (lo + good) // 2
-        if above(mid):
-            good = mid
-        else:
-            lo = mid + 1
-    good, hi = peak, N + 1  # g(good) >= threshold > g(hi)
-    while good + 1 < hi:
-        mid = (good + hi) // 2
-        if above(mid):
-            good = mid
-        else:
-            hi = mid
-    return lo, hi
+    # the roots of g = threshold to third order in n - N r: the Gaussian
+    # N r -+ sqrt(2 |threshold| N r q), shifted by the skew |threshold| (q - r) / 3
+    width = math.sqrt(-2.0 * threshold * mean * q)
+    skew = -threshold * (q - r) / 3.0
+    ends = []
+    # g(0) = N log_q and g(N) = N log_r, exactly as g computes them
+    for side, outer, g_outer in ((-1, 0, N * log_q), (1, N, N * log_r)):
+        if g_outer >= threshold:
+            ends.append(outer)
+            continue
+        # g(inner) >= threshold > g(outer); past the first step, concavity
+        # keeps every Newton step on the outer side of the root, closing in
+        inner, x = peak, mean + side * width + skew
+        for _ in range(64):
+            if not min(inner, outer) < x < max(inner, outer):
+                x = 0.5 * (inner + outer)
+            m = N - x
+            log_x, log_m = math.log(x / N), math.log(m / N)
+            h = x * (log_r - log_x) + m * (log_q - log_m) - threshold
+            if h >= 0.0:
+                inner = x
+            else:
+                outer = x
+            slope = log_r - log_q - log_x + log_m
+            step = h / slope if slope else math.inf
+            # quadratic convergence: a step this short leaves under half an index
+            done = step * step * (1.0 / x + 1.0 / m) < abs(slope)
+            x -= step
+            if done:
+                break
+        # the integer end: the last index on the peak's side of the root
+        x = min(max(x, min(inner, outer)), max(inner, outer))
+        end = math.ceil(x) if side < 0 else math.floor(x)
+        while end != peak and g(end) < threshold:
+            end -= side
+        while 0 <= end + side <= N and g(end + side) >= threshold:
+            end += side
+        ends.append(end)
+    return ends[0], ends[1] + 1
 
 
 # numpy evaluates moduli * ramp in place as ramp *= moduli once the temporary

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +54,12 @@ class SqueezingTerms:
     B_term: float
 
 
-@dataclass(frozen=True)
-class SqueezeRow:
-    """One grid point of a squeezing scan."""
+class SqueezeRow(NamedTuple):
+    """One grid point of a squeezing scan.
+
+    An immutable tuple: row._asdict() gives its fields as a dict and
+    row._replace(...) a copy with some fields changed.
+    """
 
     N: int
     p: float
@@ -118,29 +123,66 @@ def _cross_log_rows(N: int) -> list[np.ndarray]:
     return [0.5 * (logc[: M + 1] + _log_binomial_row(M)) for M in (N - 1, N - 2) if M >= 0]
 
 
-def _cross_binomial_sum(N: int, M: int, p: float, half_logc: np.ndarray | None) -> float:
+class _CrossRow(NamedTuple):
+    """Reusable rows of the cross sums of one M over a scan's p grid.
+
+    half_logc is the _cross_log_rows row of M, n and rest are n = 0..M and
+    M - n, and terms is the zero-padded row of M + 1 terms, which each
+    _cross_binomial_sum zeroes again on the interval it wrote.
+    """
+
+    half_logc: np.ndarray
+    n: np.ndarray
+    rest: np.ndarray
+    terms: np.ndarray
+
+
+def _cross_rows(N: int) -> list[_CrossRow]:
+    """A _CrossRow per _cross_log_rows(N) row, built once per scan.
+
+    The rows of M = N-1 and N-2 take their n and terms as prefixes of one
+    arange and one zero row of N entries, since the sums run one at a time.
+    """
+    n, terms = np.arange(N, dtype=float), np.zeros(N)
+    rows = []
+    for half_logc in _cross_log_rows(N):
+        size = half_logc.size
+        rows.append(_CrossRow(half_logc, n[:size], (size - 1) - n[:size], terms[:size]))
+    return rows
+
+
+def _cross_binomial_sum(N: int, M: int, p: float, row: _CrossRow | None) -> float:
     """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1.
 
     Since C(N,n) <= N^(N-M) C(M,n), each term is at most N^((N-M)/2) times
     the binomial row C(M,n) p^n (1-p)^(M-n), so only that row's _support
-    interval is evaluated: from half_logc, the _cross_log_rows row of M,
-    when given, else built on the interval alone. The sum runs over the
-    whole zero-padded row, in the pairwise order of the full evaluation.
+    interval [lo, hi) is evaluated, as exp(half_logc + (n log p + (M-n) log(1-p))).
+    The sum runs over the whole zero-padded row of M + 1 terms, in the
+    pairwise order of the full evaluation. A scan passes the _CrossRow of
+    M, whose buffers serve every p and are left zero again; without one,
+    the rows are built on the interval alone and the padded row afresh.
     """
     log_p, log_q = math.log(p), math.log1p(-p)
     lo, hi = _support(M, log_p, log_q, _EXP_FLOOR - 0.5 * (N - M) * math.log(N))
-    if half_logc is None:
+    if row is None:
         half_logc = 0.5 * (_log_binomial_row(N, lo, hi) + _log_binomial_row(M, lo, hi))
+        n = np.arange(lo, hi, dtype=float)
+        rest, terms = M - n, np.zeros(M + 1)
     else:
-        half_logc = half_logc[lo:hi]
-    n = np.arange(lo, hi, dtype=float)
-    terms = np.zeros(M + 1)
-    np.exp(half_logc + (n * log_p + (M - n) * log_q), out=terms[lo:hi])
-    return float(np.sum(terms))
+        half_logc, n, rest = row.half_logc[lo:hi], row.n[lo:hi], row.rest[lo:hi]
+        terms = row.terms
+    window = terms[lo:hi]
+    np.multiply(n, log_p, out=window)
+    window += rest * log_q
+    window += half_logc  # IEEE addition commutes: the bytes of half_logc + window
+    np.exp(window, out=window)
+    total = float(np.add.reduce(terms))  # np.sum's reduction, without its wrapper
+    window.fill(0.0)
+    return total
 
 
-def _squeezing_terms(N: int, p: float, cross_rows: list[np.ndarray] | None) -> SqueezingTerms:
-    """A(N,p) and B(N,p), from the _cross_log_rows(N) rows when given."""
+def _squeezing_terms(N: int, p: float, cross_rows: list[_CrossRow] | None) -> SqueezingTerms:
+    """A(N,p) and B(N,p), on the _cross_rows(N) buffers when given."""
     _check_photon_number(N)
     _check_probability(p)
     if p in (0.0, 1.0) or N == 0:
@@ -164,10 +206,10 @@ def _angle_factors(phi):
     return math.cos(2.0 * phi), math.cos(phi) ** 2, math.sin(phi) ** 2
 
 
-def _indexes_from_terms(N: int, p: float, terms: SqueezingTerms, cos2, cos_sq, sin_sq):
-    """(S_X, S_P) from A, B and the _angle_factors: the paper's closed form,
-    written once, for one angle (floats) or a grid of angles (arrays)."""
-    a, b2 = terms.A_term, terms.B_term ** 2
+def _indexes_from_terms(N: int, p, a, b2, cos2, cos_sq, sin_sq):
+    """(S_X, S_P) from p, A, B^2 and the _angle_factors: the paper's closed
+    form, written once, for one point (floats) or a grid, (P, 1) columns of
+    p, A and B^2 against (F,) rows of angle factors."""
     s_x = -2.0 * N * p - a * cos2 + b2 * cos_sq
     s_p = -2.0 * N * p + a * cos2 + b2 * sin_sq
     return s_x, s_p
@@ -176,11 +218,12 @@ def _indexes_from_terms(N: int, p: float, terms: SqueezingTerms, cos2, cos_sq, s
 def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
     """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>.
 
-    Costs an O(N) zero fill plus O(sqrt(N p (1-p))) work: the binomial
-    cross sums are evaluated only where their terms do not underflow.
+    Costs an O(N) zero fill and sum plus O(sqrt(N p (1-p))) exps: the
+    binomial cross sums are evaluated only where their terms do not
+    underflow, on intervals that _support finds in a few Newton steps.
     """
     terms = squeezing_terms(N, p)
-    return _indexes_from_terms(N, p, terms, *_angle_factors(phi))
+    return _indexes_from_terms(N, p, terms.A_term, terms.B_term ** 2, *_angle_factors(phi))
 
 
 def squeeze_scan(
@@ -202,8 +245,8 @@ def squeeze_scan(
     phi_grid = [float(f) for f in phi_grid]
     if not p_grid or not phi_grid:
         raise ValueError("scan grids must be non-empty")
-    rows = []
     if source == "direct":
+        rows = []
         for p in p_grid:
             for phi in phi_grid:
                 stats = direct_stats(gbs_state(GbsParams(N, p, phi), dim=N + 3))
@@ -211,12 +254,23 @@ def squeeze_scan(
         return rows
     _check_photon_number(N)
     cos2, cos_sq, sin_sq = np.array([_angle_factors(phi) for phi in phi_grid]).T
-    cross_rows = _cross_log_rows(N)
+    cross_rows = _cross_rows(N)
+    a, b2 = [], []
     for p in p_grid:
         terms = _squeezing_terms(N, p, cross_rows)
-        s_x, s_p = _indexes_from_terms(N, p, terms, cos2, cos_sq, sin_sq)
-        rows.extend(
-            SqueezeRow(N, p, phi, x, y, source)
-            for phi, x, y in zip(phi_grid, s_x.tolist(), s_p.tolist())
-        )
-    return rows
+        a.append(terms.A_term)
+        b2.append(terms.B_term ** 2)
+    p_col, a, b2 = (np.array(v)[:, None] for v in (p_grid, a, b2))
+    s_x, s_p = _indexes_from_terms(N, p_col, a, b2, cos2, cos_sq, sin_sq)
+    width = len(phi_grid)
+    columns = (
+        repeat(N),
+        chain.from_iterable(repeat(p, width) for p in p_grid),
+        phi_grid * len(p_grid),
+        s_x.ravel().tolist(),
+        s_p.ravel().tolist(),
+        repeat(source),
+        repeat(None),
+    )
+    # tuple.__new__ fills each row in C, without SqueezeRow.__new__'s Python frame
+    return list(map(tuple.__new__, repeat(SqueezeRow), zip(*columns)))

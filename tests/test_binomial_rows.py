@@ -35,7 +35,13 @@ from gbstates.gbs import (
 )
 from gbstates.hilbert import StateVector
 from gbstates.resolution import expansion_amplitude_series
-from gbstates.squeezing import SqueezingTerms, closed_form_indexes, squeeze_scan, squeezing_terms
+from gbstates.squeezing import (
+    SqueezeRow,
+    SqueezingTerms,
+    closed_form_indexes,
+    squeeze_scan,
+    squeezing_terms,
+)
 
 N_VALUES = (0, 1, 2, 7, 300, 10**4)
 # the vector paths evaluate rows only on their support; at N = 1e5 most of
@@ -174,6 +180,58 @@ def test_every_scan_row_equals_closed_form_indexes(N):
     for row in rows:
         assert (row.S_X, row.S_P) == closed_form_indexes(N, row.p, row.phi)
         assert (row.S_X, row.S_P) == ref_closed_form_indexes(N, row.p, row.phi, ref_terms[row.p])
+
+
+@st.composite
+def scan_p_grids(draw):
+    """Unsorted p grids holding the poles, the extreme representable p and duplicates."""
+    grid = draw(st.lists(st.floats(0.0, 1.0), max_size=5)) + [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+    grid += draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+    return draw(st.permutations(grid))
+
+
+@st.composite
+def scan_phi_grids(draw):
+    """Unsorted angle grids with negative, tiny and large angles."""
+    grid = draw(st.lists(st.floats(-1e9, 1e9), max_size=4)) + [-2.7, -1e-20, 0.0, 1e6]
+    return draw(st.permutations(grid))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 * 10**4), scan_p_grids(), scan_phi_grids())
+@example(0, [1.0, 0.0, 0.5], [0.0, -1.0])
+@example(1, [0.3, 5e-324, 0.3], [3.0, -1e9])
+@example(2 * 10**4, [1.0 - 2.0**-53, 0.37, 0.0, 0.37], [1e6, -2.7])
+def test_every_scan_row_is_closed_form_indexes_bytewise(N, p_grid, phi_grid):
+    rows = squeeze_scan(N, p_grid, phi_grid)
+    points = [(p, phi) for p in p_grid for phi in phi_grid]
+    assert len(rows) == len(points)
+    for row, (p, phi) in zip(rows, points):
+        assert type(row) is SqueezeRow
+        assert (row.N, row.source, row.stats) == (N, "closed_form", None)
+        assert_bytes_equal(np.array([row.p, row.phi]), np.array([p, phi]))
+        assert_bytes_equal(np.array([row.S_X, row.S_P]), np.array(closed_form_indexes(N, p, phi)))
+
+
+def test_squeeze_row_is_an_immutable_named_tuple():
+    assert SqueezeRow._fields == ("N", "p", "phi", "S_X", "S_P", "source", "stats")
+    assert SqueezeRow._field_defaults == {"stats": None}
+    row = SqueezeRow(3, 0.25, 1.5, -0.1, 0.2, "closed_form")
+    assert row.stats is None
+    with pytest.raises(AttributeError):
+        row.S_X = 0.0
+    assert row._replace(S_X=1.0) == SqueezeRow(3, 0.25, 1.5, 1.0, 0.2, "closed_form", None)
+    assert row._asdict() == dict(
+        N=3, p=0.25, phi=1.5, S_X=-0.1, S_P=0.2, source="closed_form", stats=None
+    )
+    twin = SqueezeRow(3, 0.25, 1.5, -0.1, 0.2, "closed_form")
+    assert twin == row and hash(twin) == hash(row)
+    for source in ("closed_form", "direct"):
+        first, again = (squeeze_scan(3, [0.25], [1.5], source) for _ in range(2))
+        assert type(first[0]) is SqueezeRow and first[0]._fields == SqueezeRow._fields
+        assert first == again and hash(first[0]) == hash(again[0])
+        with pytest.raises(AttributeError):
+            first[0].p = 0.5
 
 
 def test_scan_builds_its_binomial_rows_once(monkeypatch):
@@ -503,6 +561,76 @@ def test_rows_vanish_outside_their_support(N, p, p2):
                 full = np.exp(row + (m * math.log(p) + (M - m) * math.log1p(-p)))
                 assert_positive_zeros_outside(full, interval)
             assert len(recorded.intervals) == min(N, 2)
+
+
+def bisected_support(N, log_r, log_q, log_floor):
+    """gbs._support as it was when it bisected both ends of the interval: the
+    reference that the Newton ends are checked against."""
+    if N == 0:
+        return 0, 1
+    if log_floor > 0.0:
+        return 0, 0
+    if log_r == -math.inf:
+        return 0, 1
+    if log_q == -math.inf:
+        return N, N + 1
+    threshold = log_floor - 1.0 - 1e-12 * (
+        N * (4.0 * math.log(N + 1.0) - log_r - log_q) - log_floor
+    )
+    if N * min(log_r, log_q) >= threshold:
+        return 0, N + 1
+
+    def above(n):
+        m = N - n
+        g = n * log_r + m * log_q
+        if n:
+            g -= n * math.log(n / N)
+        if m:
+            g -= m * math.log(m / N)
+        return g >= threshold
+
+    peak = min(int(N * math.exp(log_r)), N)
+    if not above(peak):
+        peak += 1
+        if peak > N or not above(peak):
+            return 0, 0
+    lo, good = 0, peak
+    while lo < good:
+        mid = (lo + good) // 2
+        if above(mid):
+            good = mid
+        else:
+            lo = mid + 1
+    good, hi = peak, N + 1
+    while good + 1 < hi:
+        mid = (good + hi) // 2
+        if above(mid):
+            good = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 * 10**5), probabilities, probabilities)
+@example(10**5, 0.013, 0.987)
+@example(10**4, 0.37, 0.37)
+@example(2184, 0.5, 0.5)  # an end so close to 0 that Newton starts outside the row
+@example(2 * 10**5, 5e-324, 1.0 - 2.0**-53)
+@example(1, 0.5, 0.0)
+def test_newton_support_matches_the_bisected_one(N, p, p2):
+    calls = []
+    real = gbs._support
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module in (gbs, squeezing):
+            monkeypatch.setattr(module, "_support", lambda *a: calls.append(a) or real(*a))
+        binomial_amplitudes(N, p)
+        gbs_overlap(GbsParams(N, p, 0.0), GbsParams(N, p2, 0.0))
+        squeezing_terms(N, p)
+    assert calls
+    for args in calls:
+        (lo, hi), (ref_lo, ref_hi) = real(*args), bisected_support(*args)
+        assert abs(lo - ref_lo) <= 1 and abs(hi - ref_hi) <= 1, args
 
 
 def test_support_covers_a_few_standard_deviations_at_large_n():

@@ -183,6 +183,16 @@ class TestNormalizeAngle:
         assert normalize_angle(-math.pi / 2) == pytest.approx(1.5 * math.pi)
         assert normalize_angle(5 * math.pi) == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("value", [-1e-20, -1e-17, -5e-324])
+    def test_tiny_negative_angles_reduce_to_zero_not_two_pi(self, value):
+        # np.mod(value, 2 pi) rounds to 2 pi, outside [0, 2 pi)
+        angle = normalize_angle(value)
+        assert angle == 0.0 and not math.copysign(1.0, angle) < 0
+        params = GbsParams(1000, 0.3, value)
+        assert params.phi == 0.0
+        zero = gbs_state(GbsParams(1000, 0.3, 0.0)).amp
+        assert gbs_state(params).amp.tobytes() == zero.tobytes()
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):

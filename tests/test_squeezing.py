@@ -1,6 +1,7 @@
 """Tests for quadrature operators, moments and the closed-form indexes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ class TestSqueezeScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             squeeze_scan(2, [], [0.0])
+
+    def test_working_memory_stays_linear_in_n(self):
+        # what the call holds at its peak beyond the rows it returns; one
+        # (M + 1)-entry row per p would take 51 times 8 (N + 1) bytes
+        N = 10**5
+        p_grid, phi_grid = np.linspace(0.0, 1.0, 51), np.linspace(0.0, TWO_PI, 65)
+        squeeze_scan(N, p_grid, phi_grid)  # the shared lgamma table reaches N first
+        tracemalloc.start()
+        try:
+            rows = squeeze_scan(N, p_grid, phi_grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 51 * 65
+        assert peak - held < 8 * 8 * (N + 1)
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
