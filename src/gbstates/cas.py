@@ -24,7 +24,8 @@ from .gbs import BlochAngles, _phased_row, binomial_amplitudes, log_binomial
 from .hilbert import OperatorMatrix, StateVector
 from .hp_algebra import PseudoSpinSet, RotationSpec, _rotated_set, hp_operators
 from .hp_algebra import rotation_operator
-from .resolution import SphereQuadrature, _resolution_matrix, _warn_if_under_resolved
+from .resolution import SphereQuadrature, _apply_resolution, _resolution_matrix
+from .resolution import _warn_if_under_resolved
 
 MAX_TENSOR_ATOMS = 12
 
@@ -246,16 +247,22 @@ def cas_overlap_modulus_sq(J, a: BlochAngles, b: BlochAngles) -> float:
 
 
 def cas_identity_resolution(J, quad: SphereQuadrature) -> OperatorMatrix:
-    """(2J+1) integral dOmega/(4 pi) |theta,varphi><theta,varphi| on the grid."""
+    """(2J+1) integral dOmega/(4 pi) |theta,varphi><theta,varphi| on the grid.
+
+    The CAS coefficients are the conjugates of the field amplitudes at N = 2J,
+    and the resolution matrix is real, so this is identity_resolution(2J, quad).
+    """
     two_j = _check_half_integer(J)
     _warn_if_under_resolved(two_j, quad)
-    return OperatorMatrix(_resolution_matrix(two_j, quad).conj())
+    return OperatorMatrix(_resolution_matrix(two_j, quad))
 
 
 def cas_expansion_check(J, psi: StateVector, quad: SphereQuadrature) -> StateVector:
-    """Reconstruct a Dicke-ladder state through the CAS over-complete basis."""
+    """Reconstruct a Dicke-ladder state through the CAS over-complete basis: the
+    real resolution matrix of identity_resolution(2J, quad) applied to psi one kept
+    diagonal at a time, as reconstruct does."""
     two_j = _check_half_integer(J)
     if psi.dim != two_j + 1:
         raise ValueError(f"state dimension {psi.dim} must equal 2J+1 = {two_j + 1}")
     _warn_if_under_resolved(two_j, quad)
-    return StateVector(_resolution_matrix(two_j, quad).conj() @ psi.amp)
+    return StateVector(_apply_resolution(two_j, quad, psi.amp))

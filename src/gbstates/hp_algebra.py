@@ -108,10 +108,9 @@ def _lift(N: int, p: float, q: float, phi: float, half_alpha: float = 0.0) -> Op
     a = half_alpha: entry (n, m) is e^(i a (N - 2n)) e^(-i n phi) R0[n, m] e^(i m phi).
 
     Column m of the real R0 is the eigenvector of the tridiagonal T of _ladder_bands
-    for m - N/2, its sign fixed by the ladder: column N is the non-negative
-    |N, p, 0>, and <R0_(m+1)| M |R0_m> > 0 for the banded M = R0 J+ R0^T. a rather
-    than 2a carries the sign of the spin-1/2 matrix that an odd N sees. O(N^2)
-    time and memory beyond the eigensolve.
+    for m - N/2, its sign fixed by the ladder from one entry per column (_ladder_signs).
+    a rather than 2a carries the sign of the spin-1/2 matrix that an odd N sees.
+    O(N^2) time and memory beyond the eigensolve.
     """
     N = _check_photon_number(N)
     tilt = _phase_ramp(N, half_alpha)
@@ -119,18 +118,30 @@ def _lift(N: int, p: float, q: float, phi: float, half_alpha: float = 0.0) -> Op
     if N == 0 or q == 0.0:
         return OperatorMatrix(np.diag(row))
     v = _ladder_eigenvectors(N, p, q)
-    _, (m_diag, m_sub, m_sup) = _ladder_bands(N, p, q)
-    # <v_(m+1)| M |v_m> for m = 0..N-1, band by band
-    link = (
-        np.sum(v[1:, 1:] * m_sub[:, None] * v[:-1, :-1], axis=0)
-        + np.sum(v[:-1, 1:] * m_sup[:, None] * v[1:, :-1], axis=0)
-        + np.sum(v[:, 1:] * m_diag[:, None] * v[:, :-1], axis=0)
-    )
-    signs = np.append(np.cumprod(np.sign(link)[::-1])[::-1], 1.0) * np.sign(v[:, N].sum())
     col = _phase_ramp(N, phi)
     out = (row * np.conj(col))[:, None] * v
-    out *= signs * col
+    out *= _ladder_signs(v, _ladder_bands(N, p, q)[1]) * col
     return OperatorMatrix(out)
+
+
+def _ladder_signs(v: np.ndarray, m_bands: tuple) -> np.ndarray:
+    """Signs s for the eigenvector columns v_m of _ladder_eigenvectors that make column
+    N the non-negative |N, p, 0> and <s v_(m+1)| M |s v_m> > 0 for the banded M of
+    _ladder_bands (m_bands), as the ladder R0 J+ R0^T requires.
+
+    M v_m = c_m v_(m+1) with |c_m| = sqrt((N-m)(m+1)) >= sqrt(N), so one entry per
+    column gives the sign of c_m = <v_(m+1)| M |v_m>: (M v_m)[k] v_(m+1)[k] at
+    k = argmax |v_(m+1)| is c_m v_(m+1)[k]^2 with v_(m+1)[k]^2 >= 1/(N+1), far above
+    roundoff. One argmax pass over v, then O(N).
+    """
+    m_diag, m_sub, m_sup = m_bands
+    N = v.shape[0] - 1
+    m = np.arange(N)
+    k = np.argmax(np.abs(v[:, 1:]), axis=0)
+    sub, sup = np.concatenate(([0.0], m_sub)), np.append(m_sup, 0.0)  # M[k, k-1], M[k, k+1]
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, N)
+    link = (m_diag[k] * v[k, m] + sub[k] * v[lo, m] + sup[k] * v[hi, m]) * v[k, m + 1]
+    return np.append(np.cumprod(np.sign(link)[::-1])[::-1], 1.0) * np.sign(v[:, N].sum())
 
 
 def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:

@@ -17,9 +17,13 @@ has entries
     R[n, n'] = G[n, n'] * S(n - n'),
 
 a real Gram matrix G of the K polar rows m_k times the azimuthal average
-S(d) = (1/M) sum_j e^(i d phi_j). That is the same finite sum taken in
-another order: O(K N^2 + M N) time and O(K N + N^2) memory for K polar
-and M phase nodes, against O(K M N) for the full amplitude grid.
+S(d) = (1/M) sum_j e^(i d phi_j) over the M uniform phase nodes. That
+geometric series is exactly [M | d]: 1 when M divides d, else 0. So R is
+real and keeps only the diagonals d = 0, +-M, +-2M, ... of G, each an
+O(K N) contraction of the polar rows: O(K N (1 + 2 floor(N/M))) time and
+O(K N) memory beyond the result, against O(K M N) for the full amplitude
+grid. On exactness-grade grids (M >= N+1) R is diagonal; an under-resolved
+phase grid keeps its aliasing diagonals, as the node-by-node sum does.
 """
 
 from __future__ import annotations
@@ -93,25 +97,47 @@ class ExpansionAmplitude:
     A_value: complex
 
 
-def _resolution_matrix(N: int, quad: SphereQuadrature) -> np.ndarray:
-    """Grid value of (N+1) integral dOmega/(4 pi) |N,p,phi><N,p,phi| as G * S.
+def _resolution_bands(N: int, quad: SphereQuadrature) -> list[tuple[int, np.ndarray]]:
+    """The diagonals of _resolution_matrix that S keeps: (d, R[n, n + d] for n = 0..N-d)
+    for d = 0, M, 2M, ... <= N, M = quad.phi_count; R is symmetric.
 
-    G[n, n'] = sum_k ((N+1) w_k / 2) m_k[n] m_k[n'] over the polar rows
+    R[n, n + d] = sum_k ((N+1) w_k / 2) m_k[n] m_k[n + d] over the polar rows
     m_k = binomial_amplitudes(N, cos^2(theta_k/2)), all K from one log C(N, n)
-    row (_polar_rows); S(d) is the average of e^(i d phi_j) over the phase
-    nodes, summed numerically so that an under-resolved phase grid aliases
-    exactly as the node-by-node sum does.
-    The CAS coefficients are the complex conjugates of these amplitudes, so
-    the CAS resolution is the conjugate of this matrix.
+    row (_polar_rows).
     """
     _check_photon_number(N)
     thetas, w = quad.theta_nodes[:, 0], quad.theta_nodes[:, 1]
     rows = _polar_rows(N, [math.cos(t / 2.0) ** 2 for t in thetas])
-    gram = (rows.T * ((N + 1) * w / 2.0)) @ rows
-    d = np.arange(-N, N + 1)
-    phase_avg = np.exp(1j * np.outer(d, quad.phi_values)).mean(axis=1)
-    n = np.arange(N + 1)
-    return gram * phase_avg[n[:, None] - n + N]
+    weighted = rows * ((N + 1) * w / 2.0)[:, None]
+    return [
+        (d, np.einsum("kn,kn->n", weighted[:, : N + 1 - d], rows[:, d:]))
+        for d in range(0, N + 1, quad.phi_count)
+    ]
+
+
+def _resolution_matrix(N: int, quad: SphereQuadrature) -> np.ndarray:
+    """Grid value of (N+1) integral dOmega/(4 pi) |N,p,phi><N,p,phi| as G * S, built
+    from its diagonals (_resolution_bands): real, and diagonal when M >= N+1.
+    The CAS coefficients are the complex conjugates of these amplitudes, so the
+    CAS resolution, the conjugate of this real matrix, is this matrix.
+    """
+    bands = _resolution_bands(N, quad)
+    out = np.zeros((N + 1, N + 1))
+    for d, band in bands:
+        n = np.arange(band.size)
+        out[n, n + d] = out[n + d, n] = band
+    return out
+
+
+def _apply_resolution(N: int, quad: SphereQuadrature, amp: np.ndarray) -> np.ndarray:
+    """_resolution_matrix(N, quad) @ amp[: N + 1] from the diagonals, without the matrix."""
+    bands, amp = _resolution_bands(N, quad), amp[: N + 1]
+    out = np.zeros(N + 1, dtype=np.complex128)
+    for d, band in bands:
+        out[: N + 1 - d] += band * amp[d:]
+        if d:
+            out[d:] += band * amp[: N + 1 - d]
+    return out
 
 
 def _polar_rows(N: int, p_values: list[float]) -> np.ndarray:
@@ -144,21 +170,27 @@ def _warn_if_under_resolved(N: int, quad: SphereQuadrature) -> None:
 def identity_resolution(N: int, quad: SphereQuadrature) -> OperatorMatrix:
     """Quadrature evaluation of (N+1) integral dOmega/(4 pi) |N,p,phi><N,p,phi|.
 
-    Equals the identity to ~1e-12 entrywise on exactness-grade grids; an
-    under-resolved grid is a legitimate experiment and only raises a
-    UserWarning while returning the contaminated result.
+    Real. On exactness-grade grids it is diagonal, every off-diagonal entry an
+    exact 0, and equals the identity to ~1e-12; an under-resolved grid is a
+    legitimate experiment and only raises a UserWarning while returning the
+    contaminated result, whose nonzero off-diagonals sit at offsets that are
+    multiples of the phase node count.
     """
     _warn_if_under_resolved(N, quad)
     return OperatorMatrix(_resolution_matrix(N, quad))
 
 
+def _check_tau_domain(psi: StateVector, params: GbsParams) -> None:
+    if psi.dim < params.N + 1:
+        raise ValueError(f"state dimension {psi.dim} below N+1 = {params.N + 1}")
+    if not 0.0 < params.p <= 1.0:
+        raise ValueError("the tau parameterization needs 0 < p <= 1")
+
+
 def _tau_growth(psi: StateVector, params: GbsParams) -> float:
     """(1 + |tau|^2)^(N/2) = p^(-N/2), once psi, p = 0 and the double range are checked."""
+    _check_tau_domain(psi, params)
     N, p = params.N, params.p
-    if psi.dim < N + 1:
-        raise ValueError(f"state dimension {psi.dim} below N+1 = {N + 1}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("the tau parameterization needs 0 < p <= 1")
     try:
         return p ** (-N / 2.0)
     except OverflowError:
@@ -184,26 +216,42 @@ def expansion_amplitude_series(psi: StateVector, params: GbsParams) -> complex:
 
     Independent of the overlap route; the two agree to ~1e-10 relative.
     """
-    N = params.N
     _tau_growth(psi, params)  # each coefficient is at most this bound
+    return _series(psi, params, 0.0)
+
+
+def _series(psi: StateVector, params: GbsParams, log_scale: float) -> complex:
+    """expansion_amplitude_series times e^(log_scale), the factor folded into each
+    term's exponent; log_scale is 0 or (N/2) log p, and both vanish at p = 1."""
+    N = params.N
     c = psi.amp[: N + 1]
     if params.p == 1.0:
         # |tau| = 0: only the n = N monomial survives
         return complex(c[N] * cmath.exp(-1j * N * params.phi))
     n = np.arange(N + 1, dtype=float)
     log_abs_tau = 0.5 * (math.log1p(-params.p) - math.log(params.p))
-    coeff = np.exp(0.5 * _log_binomial_row(N) + (N - n) * log_abs_tau)
+    coeff = np.exp(0.5 * _log_binomial_row(N) + (N - n) * log_abs_tau + log_scale)
     return complex(np.sum(c * coeff * np.exp(-1j * n * params.phi)))
+
+
+def _scaled_amplitude_routes(psi: StateVector, params: GbsParams) -> tuple[complex, complex]:
+    """A / (1+|tau|^2)^(N/2) = A p^(N/2) by the overlap route and by the series with
+    p^(N/2) folded into its exponents. Neither step overflows at any N, so the two
+    routes compare relatively where A itself does not fit in a double."""
+    _check_tau_domain(psi, params)
+    overlap = inner(gbs_state(params, psi.dim), psi)
+    return overlap, _series(psi, params, 0.5 * params.N * math.log(params.p))
 
 
 def reconstruct(psi: StateVector, N: int, quad: SphereQuadrature) -> StateVector:
     """Re-expand a state through the over-complete basis.
 
     Evaluates (N+1) integral dOmega/(4 pi) <N,p,phi|psi> |N,p,phi> on the
-    grid, as the grid's resolution matrix applied to psi; the integrand is
-    the bounded overlap form of A/(1+|tau|^2)^(N/2), so nothing diverges
-    near the p -> 0 edge. With exactness-grade grids this is the identity
-    map on states supported on n <= N.
+    grid, as the grid's resolution matrix applied to psi one kept diagonal at a
+    time (a single diagonal on exactness-grade grids), never forming the
+    (N+1)^2 matrix; the integrand is the bounded overlap form of
+    A/(1+|tau|^2)^(N/2), so nothing diverges near the p -> 0 edge. With
+    exactness-grade grids this is the identity map on states supported on n <= N.
     """
     if psi.dim < N + 1:
         raise ValueError(f"state dimension {psi.dim} too small for N={N}: need N+1 = {N + 1}")
@@ -211,5 +259,5 @@ def reconstruct(psi: StateVector, N: int, quad: SphereQuadrature) -> StateVector
         raise ValueError(f"state has support above n = {N}")
     _warn_if_under_resolved(N, quad)
     out = np.zeros(psi.dim, dtype=np.complex128)
-    out[: N + 1] = _resolution_matrix(N, quad) @ psi.amp[: N + 1]
+    out[: N + 1] = _apply_resolution(N, quad, psi.amp)
     return StateVector(out)

@@ -308,13 +308,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_passed"] is True
 
-    def test_amplitude_out_of_double_range_is_usage_error(self, capsys):
-        # p^(-N/2) overflows for p below about 0.058 at N = 500
+    def test_completeness_runs_where_the_amplitude_overflows(self, capsys):
+        # p^(-N/2) overflows for p below about 0.058 at N = 500; the routes are
+        # compared on A p^(N/2), so the group reports instead of a usage error
         code, out, err = run_cli(capsys, "verify", "-N", "500", "--group", "completeness")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "N=500" in err
-        assert "Traceback" not in err
+        assert err == ""
+        report = json.loads(out)
+        assert code == (0 if report["all_passed"] else 1)
+        checks = {c["name"]: c for c in report["groups"][0]["checks"]}
+        assert len(checks) == 6
+        assert checks["amplitude-overlap-vs-series"]["passed"] is True
+        # the Gauss-Legendre diagonal roundoff (1.1e-12 here) is the only known miss
+        failed = {name for name, c in checks.items() if not c["passed"]}
+        assert failed <= {"identity-resolution-exactness"}
 
     def test_overtight_tolerance_fails_cleanly(self, capsys):
         code, out, _ = run_cli(

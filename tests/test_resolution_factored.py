@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbstates.cas import cas_expansion_check, cas_identity_resolution
 from gbstates.gbs import binomial_amplitudes
@@ -178,3 +180,80 @@ def test_reconstruct_n1000_memory_and_round_trip():
     out, peak_mb = traced_peak_mb(lambda: reconstruct(StateVector(psi), N, quad))
     assert peak_mb < 160.0
     assert np.abs(out.amp - psi).max() <= 1e-10
+
+
+# The azimuthal average is exactly [M | d], so the kernel keeps only the
+# diagonals of G at offsets that are multiples of M.
+
+
+def off_diagonal_offsets(res):
+    """Offsets d > 0 with a nonzero entry on the d-th super- or sub-diagonal."""
+    return {
+        d
+        for d in range(1, res.shape[0])
+        if np.any(np.diagonal(res, d) != 0.0) or np.any(np.diagonal(res, -d) != 0.0)
+    }
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 64, 192])
+@pytest.mark.parametrize("extra_phi", [0, 1, 9, "default"])
+def test_off_diagonals_exactly_zero_on_exact_phase_grids(N, extra_phi):
+    if extra_phi == "default":
+        quad = SphereQuadrature.default_for(N)
+    else:
+        quad = SphereQuadrature.build(N // 2 + 1, N + 1 + extra_phi)
+    res = identity_resolution(N, quad).entries
+    assert off_diagonal_offsets(res) == set()
+    assert np.all(res.imag == 0.0)
+
+
+@pytest.mark.parametrize(
+    "N, M", [(N, M) for N in (3, 12, 40, 65) for M in (1, 2, 3, 5, 13, N) if M <= N]
+)
+def test_aliasing_diagonals_only_at_multiples_of_m(N, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = identity_resolution(N, SphereQuadrature.build(N // 2 + 2, M)).entries
+    offsets = off_diagonal_offsets(res)
+    assert offsets and all(d % M == 0 for d in offsets)
+    assert np.array_equal(res, res.T)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_kernel_matches_grid_sum_on_any_grid(data):
+    N = data.draw(st.integers(0, 40), label="N")
+    K = data.draw(st.integers(1, N + 3), label="K")
+    M = data.draw(st.integers(1, 2 * N + 3), label="M")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    quad = SphereQuadrature.build(K, M)
+    psi = random_state(np.random.default_rng(seed), N, N + 1 + data.draw(st.integers(0, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = identity_resolution(N, quad).entries
+        cas_res = cas_identity_resolution(N / 2.0, quad).entries
+        rec = reconstruct(StateVector(psi), N, quad).amp
+        cas_rec = cas_expansion_check(N / 2.0, StateVector(psi[: N + 1]), quad).amp
+    ref = ref_identity_resolution(N, quad)
+    # a coarse polar grid puts entries up to about (N+1) max_n m[n]^2 (5 at N = 40,
+    # K = 1), where both sums round at ATOL relative to that size
+    tol = ATOL * max(1.0, np.abs(ref).max())
+    assert np.abs(res - ref).max() <= tol
+    assert np.abs(cas_res - ref_identity_resolution(N, quad, sign=-1)).max() <= tol
+    assert np.abs(rec - ref_reconstruct(psi, N, quad)).max() <= tol
+    assert np.abs(cas_rec - ref_reconstruct(psi[: N + 1], N, quad, sign=-1)).max() <= tol
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 12, 64, 129])
+@pytest.mark.parametrize("grid", ["default", "threshold", "under-resolved"])
+def test_cas_resolution_is_the_field_resolution_byte_for_byte(N, grid):
+    quad = {
+        "default": SphereQuadrature.default_for(N),
+        "threshold": threshold_grid(N),
+        "under-resolved": SphereQuadrature.build(3, 2),
+    }[grid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cas_res = cas_identity_resolution(N / 2.0, quad).entries
+        res = identity_resolution(N, quad).entries
+    assert cas_res.tobytes() == res.tobytes()

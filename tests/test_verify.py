@@ -127,3 +127,13 @@ def test_timings_add_only_a_seconds_field_per_group():
     assert all("seconds" not in g for g in plain["groups"])
     assert all(g.pop("seconds") >= 0.0 for g in timed["groups"])
     assert timed == plain
+
+
+def test_completeness_runs_at_n400():
+    # A = p^(-N/2) <N,p,phi|psi> overflows a double here for small p; the
+    # overlap-vs-series deviation is relative, so it is taken on A p^(N/2)
+    report = run_verification(VerifyConfig(groups=("completeness",), n=400))
+    checks = {c["name"]: c for c in report["groups"][0]["checks"]}
+    assert len(checks) == 6
+    assert checks["amplitude-overlap-vs-series"]["value"] <= 1e-10
+    assert checks["amplitude-overlap-vs-series"]["passed"] is True
