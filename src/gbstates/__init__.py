@@ -5,23 +5,20 @@ correspondence with coherent atomic states through the Holstein-Primakoff
 pseudo-angular-momentum algebra, the orthonormal ladder ("Delta") basis,
 the over-complete basis with its resolution of identity, and the
 quadrature-squeezing indexes, all with numerically verified operator
-identities.
+identities. The brute-force references that verify and the tests check them
+against are in gbstates.oracles, which this package does not re-export.
 """
 
 from .cas import (
     CasParams,
     SpinJOperators,
-    TensorAtomSpace,
     cas_expansion_check,
     cas_identity_resolution,
     cas_overlap_modulus_sq,
     cas_state,
-    dicke_states_tensor,
-    disentangled_rotation,
     rotated_cas_operators,
     rotation_operator_spin,
     spin_j_operators,
-    tensor_atom_space,
 )
 from .delta_basis import DeltaBasis, delta_basis, delta_state
 from .gbs import (
@@ -41,7 +38,6 @@ from .hilbert import (
     apply,
     basis_state,
     commutator,
-    expm,
     identity,
     inner,
 )
@@ -69,7 +65,6 @@ from .squeezing import (
     SqueezingTerms,
     closed_form_indexes,
     direct_stats,
-    quadrature_ops,
     squeeze_scan,
     squeezing_terms,
 )

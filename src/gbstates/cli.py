@@ -22,15 +22,11 @@ import numpy as np
 from .delta_basis import delta_basis
 from .gbs import GbsParams, gbs_overlap, gbs_state, orthogonal_partner
 from .hilbert import StateVector
-from .resolution import SphereQuadrature, reconstruct
+from .resolution import SphereQuadrature, _default_node_counts, reconstruct
 from .squeezing import squeeze_scan
 from .verify import VerifyConfig, run_verification
 
 CSV_FLOAT = "{:.17g}"
-
-
-def _f(x: float) -> str:
-    return CSV_FLOAT.format(float(x))
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -61,27 +57,26 @@ class UsageError(Exception):
     pass
 
 
-def _state_payload(params: GbsParams, dim: int | None) -> dict:
-    state = gbs_state(params, dim)
-    return {
-        "N": params.N,
-        "p": params.p,
-        "phi": params.phi,
-        "amplitudes": _amplitude_list(state.amp),
-    }
+def _csv(header: str, rows) -> str:
+    """CSV text of the header and rows, each number as CSV_FLOAT (an integer prints as is)."""
+    line = ",".join([CSV_FLOAT] * (header.count(",") + 1))
+    return "\n".join([header, *(line.format(*row) for row in rows)]) + "\n"
+
+
+def _write(args, payload: dict, header: str, rows) -> None:
+    """Emit payload as JSON, or with --format csv the rows (an iterable read only then)."""
+    _emit(_json(payload) if args.format == "json" else _csv(header, rows), args.output)
+
+
+def _amplitude_rows(amplitudes: list[dict]):
+    return ((n, a["re"], a["im"]) for n, a in enumerate(amplitudes))
 
 
 def cmd_state(args) -> int:
     params = GbsParams(args.N, args.p, _angle(args.phi, args.degrees))
-    payload = _state_payload(params, args.dim)
-    if args.format == "json":
-        _emit(_json(payload), args.output)
-    else:
-        lines = ["n,re,im"]
-        lines += [
-            f"{n},{_f(a['re'])},{_f(a['im'])}" for n, a in enumerate(payload["amplitudes"])
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    amplitudes = _amplitude_list(gbs_state(params, args.dim).amp)
+    payload = {"N": params.N, "p": params.p, "phi": params.phi, "amplitudes": amplitudes}
+    _write(args, payload, "n,re,im", _amplitude_rows(amplitudes))
     return 0
 
 
@@ -90,43 +85,23 @@ def cmd_overlap(args) -> int:
     b = GbsParams(args.N, args.p2, _angle(args.phi2, args.degrees))
     value = gbs_overlap(a, b)
     payload = {"N": args.N, "re": value.real, "im": value.imag, "abs": abs(value)}
-    if args.format == "json":
-        _emit(_json(payload), args.output)
-    else:
-        _emit(
-            "re,im,abs\n" + f"{_f(value.real)},{_f(value.imag)},{_f(abs(value))}\n",
-            args.output,
-        )
+    _write(args, payload, "re,im,abs", [(value.real, value.imag, abs(value))])
     return 0
 
 
 def cmd_partner(args) -> int:
     partner = orthogonal_partner(GbsParams(args.N, args.p, _angle(args.phi, args.degrees)))
     payload = {"N": partner.N, "p": partner.p, "phi": partner.phi}
-    if args.format == "json":
-        _emit(_json(payload), args.output)
-    else:
-        _emit("N,p,phi\n" + f"{partner.N},{_f(partner.p)},{_f(partner.phi)}\n", args.output)
+    _write(args, payload, "N,p,phi", [(partner.N, partner.p, partner.phi)])
     return 0
 
 
 def cmd_basis(args) -> int:
     basis = delta_basis(args.N, args.p, _angle(args.phi, args.degrees))
-    if args.format == "json":
-        payload = {
-            "N": args.N,
-            "p": args.p,
-            "phi": basis.phi,
-            "states": [_amplitude_list(s.amp) for s in basis.states],
-        }
-        _emit(_json(payload), args.output)
-    else:
-        lines = ["m,n,re,im"]
-        for m, s in enumerate(basis.states):
-            lines += [
-                f"{m},{n},{_f(z.real)},{_f(z.imag)}" for n, z in enumerate(s.amp)
-            ]
-        _emit("\n".join(lines) + "\n", args.output)
+    states = [_amplitude_list(s.amp) for s in basis.states]
+    payload = {"N": args.N, "p": args.p, "phi": basis.phi, "states": states}
+    rows = ((m, *row) for m, s in enumerate(states) for row in _amplitude_rows(s))
+    _write(args, payload, "m,n,re,im", rows)
     return 0
 
 
@@ -159,17 +134,12 @@ def _load_state_file(path: str) -> np.ndarray:
 def cmd_expand(args) -> int:
     amp = _load_state_file(args.state_file)
     n = args.N if args.N is not None else amp.size - 1
-    n_theta = args.theta_nodes if args.theta_nodes is not None else math.ceil((n + 1) / 2) + 2
-    n_phi = args.phi_nodes if args.phi_nodes is not None else n + 3
+    n_theta, n_phi = _default_node_counts(n)
+    n_theta = args.theta_nodes if args.theta_nodes is not None else n_theta
+    n_phi = args.phi_nodes if args.phi_nodes is not None else n_phi
     quad = SphereQuadrature.build(n_theta, n_phi)
-    result = reconstruct(StateVector(amp), n, quad)
-    payload = {"N": n, "amplitudes": _amplitude_list(result.amp)}
-    if args.format == "json":
-        _emit(_json(payload), args.output)
-    else:
-        lines = ["n,re,im"]
-        lines += [f"{k},{_f(a['re'])},{_f(a['im'])}" for k, a in enumerate(payload["amplitudes"])]
-        _emit("\n".join(lines) + "\n", args.output)
+    amplitudes = _amplitude_list(reconstruct(StateVector(amp), n, quad).amp)
+    _write(args, {"N": n, "amplitudes": amplitudes}, "n,re,im", _amplitude_rows(amplitudes))
     return 0
 
 
@@ -179,11 +149,7 @@ def cmd_squeeze_scan(args) -> int:
     p_grid = np.linspace(0.0, 1.0, args.p_steps)
     phi_grid = np.linspace(0.0, 2.0 * math.pi, args.phi_steps)
     rows = squeeze_scan(args.N, p_grid, phi_grid, source=args.source)
-    lines = ["N,p,phi,S_X,S_P"]
-    lines += [
-        f"{r.N},{_f(r.p)},{_f(r.phi)},{_f(r.S_X)},{_f(r.S_P)}" for r in rows
-    ]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_csv("N,p,phi,S_X,S_P", (r[:5] for r in rows)), args.output)
     return 0
 
 

@@ -60,6 +60,6 @@ def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
 def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
     """Ladder state m alone, the eigenvector of J3' for m - N/2, in O(N) memory."""
     prm = GbsParams(N, p, phi)
-    if not 0 <= m <= N:
-        raise ValueError(f"ladder index m={m} outside [0, {N}]")
-    return StateVector(_ladder(prm, m)[:, 0])
+    if isinstance(m, (bool, np.bool_)) or not 0 <= m <= N or int(m) != m:
+        raise ValueError(f"ladder index m={m} must be an integer in [0, {N}]")
+    return StateVector(_ladder(prm, int(m))[:, 0])

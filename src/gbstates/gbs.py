@@ -371,6 +371,8 @@ def coherent_state_truncated(alpha: complex, dim: int) -> StateVector:
     """
     alpha = complex(alpha)
     a = abs(alpha)
+    if not math.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if a * a + 10.0 * a + 20.0 > dim:
         raise ValueError(f"dim {dim} too small for |alpha| = {a}: tail not negligible")
     amp = np.zeros(dim, dtype=np.complex128)

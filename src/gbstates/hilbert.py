@@ -3,9 +3,8 @@
 States are flat complex vectors and operators are square complex matrices,
 both double precision. The thin wrappers pin dimensions at module
 boundaries and freeze the underlying arrays, so every value is safe to
-share between threads after construction. The dense matrix exponential
-is an oracle for the tests and verify only; it imports scipy on first use,
-so importing the package does not.
+share between threads after construction. The dense matrix exponential is
+a brute-force reference, in gbstates.oracles.
 """
 
 from __future__ import annotations
@@ -131,16 +130,3 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     _require_same_dim(a.dim, b.dim)
     return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries)
 
-
-def expm(a: OperatorMatrix) -> OperatorMatrix:
-    """Matrix exponential (Pade approximant with scaling and squaring).
-
-    The brute-force oracle for the rotations, O(N^3) in time: no production
-    path calls it. Accurate well below 1e-12 relative Frobenius error for
-    the moderate-norm anti-Hermitian generators used throughout this package.
-    """
-    if not np.all(np.isfinite(a.entries)):
-        raise ValueError("matrix exponential of a non-finite matrix")
-    import scipy.linalg  # deferred: only this oracle needs it, and it slows import
-
-    return OperatorMatrix(scipy.linalg.expm(a.entries))

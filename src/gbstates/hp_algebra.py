@@ -19,8 +19,8 @@ Wigner's d-matrix), their signs from M, their phases from two ramps. The
 rotation operator, the operator linking two states (composed on the spin-1/2
 matrices) and the composite rotation of composition_residual, whose angle may
 exceed pi, are all such lifts; the Delta basis of gbstates.delta_basis comes
-from the same eigensolve. The dense matrix exponential _ladder_rotation is
-the oracle for the tests and verify only.
+from the same eigensolve. The dense matrix exponential of the generator,
+the reference for every rotation here, is gbstates.oracles.rotation_expm.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import BlochAngles, GbsParams, _check_photon_number, normalize_angle, params_to_angles
-from .hilbert import OperatorMatrix, adjoint, expm
+from .gbs import BlochAngles, GbsParams, _check_photon_number, _check_probability
+from .gbs import normalize_angle, params_to_angles
+from .hilbert import OperatorMatrix, adjoint
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,6 @@ class RotationSpec:
 def hp_operators(N: int) -> PseudoSpinSet:
     """Holstein-Primakoff operator set for maximum excitation N: the rotated set at p = 1."""
     return _rotated_set(N, 1.0, 0.0, 1.0)
-
-
-def _ladder_rotation(N: int, eta: complex) -> OperatorMatrix:
-    """exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder, for any complex eta,
-    by a dense matrix exponential: the oracle for rotation_operator."""
-    ops = hp_operators(N)
-    return expm((-eta) * ops.Jplus + np.conj(eta) * ops.Jminus)
 
 
 def rotation_operator(N: int, spec: RotationSpec) -> OperatorMatrix:
@@ -156,8 +150,7 @@ def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:
     by the rotation operator at the matching Bloch angles. phi is reduced to
     [0, 2*pi) first, as GbsParams does; a non-finite phi is a ValueError.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    _check_probability(p)
     return _rotated_set(N, p, 1.0 - p, cmath.exp(1j * normalize_angle(phi)))
 
 

@@ -45,6 +45,12 @@ from .gbs import (
 from .hilbert import OperatorMatrix, StateVector, inner
 
 
+def _default_node_counts(N: int) -> tuple[int, int]:
+    """Polar and azimuthal node counts of the default grid: exactness grade
+    (ceil((N+1)/2) and N+1) with a margin of two nodes each."""
+    return math.ceil((N + 1) / 2) + 2, N + 3
+
+
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Product quadrature over the Bloch sphere.
@@ -78,7 +84,7 @@ class SphereQuadrature:
     @classmethod
     def default_for(cls, N: int) -> "SphereQuadrature":
         """Exactness-grade grid with a small margin over the threshold."""
-        return cls.build(math.ceil((N + 1) / 2) + 2, N + 3)
+        return cls.build(*_default_node_counts(N))
 
     @property
     def p_values(self) -> np.ndarray:

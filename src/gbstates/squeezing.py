@@ -31,7 +31,7 @@ from .gbs import (
     _support,
     gbs_state,
 )
-from .hilbert import OperatorMatrix, StateVector
+from .hilbert import StateVector
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,12 @@ class SqueezeRow(NamedTuple):
     stats: QuadratureStats | None = None
 
 
-def quadrature_ops(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Truncated aX, aP matrices; [aX, aP] = 2i except on the top level.
-
-    The dense oracle of direct_stats, kept for the tests.
-    """
-    if dim < 2:
-        raise ValueError(f"quadratures need dim >= 2, got {dim}")
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    k = np.arange(dim - 1)
-    a[k, k + 1] = np.sqrt(k + 1.0)
-    return OperatorMatrix(a + a.conj().T), OperatorMatrix((a - a.conj().T) / 1j)
-
-
 def direct_stats(psi: StateVector) -> QuadratureStats:
     """Quadrature moments of a state by explicit expectation values.
 
     a and a' act as shifted products of the amplitude vector, the truncated
-    operators of quadrature_ops without the matrices: O(N) time and memory.
+    operators of gbstates.oracles.quadrature_ops without the matrices: O(N)
+    time and memory.
     Var(K) is taken as ||(K - <K>) psi||^2, so no O(N) terms cancel. The
     state must be normalized and must not populate the top two truncation
     levels, otherwise the <aK^2> values pick up truncation artifacts.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cas, gbs, hilbert, hp_algebra, resolution, squeezing
+from . import cas, gbs, hilbert, hp_algebra, oracles, resolution, squeezing
 from .delta_basis import delta_basis, delta_state
 from .gbs import BlochAngles, GbsParams
 from .hilbert import StateVector, adjoint, basis_state, inner
@@ -91,7 +91,7 @@ def group_hilbert(cfg: VerifyConfig) -> dict:
         for _ in range(10):
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             g = hilbert.OperatorMatrix(m - m.conj().T)
-            u = hilbert.expm(g)
+            u = oracles.expm(g)
             unit = max(unit, np.abs((u @ adjoint(u)).entries - np.eye(dim)).max())
             v = StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim)).normalized()
             norm_dev = max(norm_dev, abs((u @ v).norm() - 1.0))
@@ -105,7 +105,7 @@ def group_hilbert(cfg: VerifyConfig) -> dict:
         for k in range(1, 60):
             term = term @ g.entries / k
             series += term
-        taylor = max(taylor, np.linalg.norm(hilbert.expm(g).entries - series))
+        taylor = max(taylor, np.linalg.norm(oracles.expm(g).entries - series))
     checks = [
         _le("expm-unitarity", unit, 1e-10, cfg),
         _le("norm-preservation", norm_dev, 1e-10, cfg),
@@ -196,10 +196,11 @@ def group_rotation(cfg: VerifyConfig) -> dict:
     oracle_ns = [cfg.n] if cfg.n is not None else [1, 2, 5, 30, 64, 200]
     for n in oracle_ns:
         polar = float(np.arccos(rng.uniform(-1, 1)))
+        ladder = hp_algebra.hp_operators(n)
         for theta in (1e-9, polar, math.pi - 1e-9, math.pi):
             spec = hp_algebra.RotationSpec.from_angles(BlochAngles(theta, rng.random() * TWO_PI))
             r = hp_algebra.rotation_operator(n, spec).entries
-            r_expm = hp_algebra._ladder_rotation(n, spec.eta).entries
+            r_expm = oracles.rotation_expm(ladder, spec.eta).entries
             oracle_dev = max(oracle_dev, float(np.abs(r - r_expm).max()))
     for n in oracle_ns:
         a = _random_params(rng, n_fixed=n)
@@ -210,8 +211,9 @@ def group_rotation(cfg: VerifyConfig) -> dict:
             n, math.sin(gbs.params_to_angles(a).theta / 2.0 + 5e-10) ** 2, a.phi + math.pi
         )
         poles = (GbsParams(n, 0.0, a.phi), GbsParams(n, 1.0, b.phi))
+        ladder = hp_algebra.hp_operators(n)
         r_expm = {
-            prm: hp_algebra._ladder_rotation(n, hp_algebra.RotationSpec.from_gbs(prm).eta).entries
+            prm: oracles.rotation_expm(ladder, hp_algebra.RotationSpec.from_gbs(prm).eta).entries
             for prm in (a, b, antipode, near, *poles)
         }
         for x, y in ((a, b), (a, a), (a, antipode), (a, near), poles, poles[::-1]):
@@ -376,7 +378,8 @@ def group_delta(cfg: VerifyConfig) -> dict:
         single = delta_state(n, m_probe, p, phi)
         closed = max(closed, abs(1.0 - abs(inner(single, basis.states[m_probe]))))
         complete = max(complete, float(np.abs(vecs @ vecs.conj().T - np.eye(n + 1)).max()))
-        r = hp_algebra._ladder_rotation(n, hp_algebra.RotationSpec.from_gbs(prm).eta).entries
+        eta = hp_algebra.RotationSpec.from_gbs(prm).eta
+        r = oracles.rotation_expm(hp_algebra.hp_operators(n), eta).entries
         overlaps = np.abs(np.sum(vecs.conj() * r, axis=0))  # |<Delta_m| R |m>|
         columns = max(columns, float(np.abs(1.0 - overlaps).max()))
     middle = 0.0
@@ -490,11 +493,11 @@ def group_bijection(cfg: VerifyConfig) -> dict:
         return _group("bijection", [coeff_check])
     tensor_dev = dual_dev = 0.0
     for n_atoms in range(1, 9):
-        space = cas.tensor_atom_space(n_atoms)
-        dicke = cas.dicke_states_tensor(n_atoms)
+        space = oracles.tensor_atom_space(n_atoms)
+        dicke = oracles.dicke_states_tensor(n_atoms)
         angles = _random_angles(rng)
         xi = (angles.theta / 2.0) * np.exp(-1j * angles.varphi)
-        r_tensor = hilbert.expm((-xi) * space.Jplus + np.conj(xi) * space.Jminus)
+        r_tensor = oracles.rotation_expm(space, xi)
         rotated = (r_tensor @ dicke[-1]).amp
         coeffs = np.array([np.vdot(d.amp, rotated) for d in dicke])
         block_col = cas.rotation_operator_spin(n_atoms / 2.0, angles).entries[:, -1]
@@ -534,13 +537,13 @@ def group_appendix(cfg: VerifyConfig) -> dict:
             casimir_dev,
             float(np.abs(ops.Jsq.entries - j * (j + 1.0) * np.eye(two_j + 1)).max()),
         )
-    space = cas.tensor_atom_space(4)
+    space = oracles.tensor_atom_space(4)
     comm_dev = max(
         comm_dev,
         _comm_dev(space.Jplus, space.Jminus, 2.0 * space.Jz),
         float(np.abs(hilbert.commutator(space.Jz, space.Jsq).entries).max()),
     )
-    dicke = cas.dicke_states_tensor(5)
+    dicke = oracles.dicke_states_tensor(5)
     gram = np.array([[inner(a, b) for b in dicke] for a in dicke])
     dicke_dev = float(np.abs(gram - np.eye(6)).max())
     disent = 0.0
@@ -551,7 +554,7 @@ def group_appendix(cfg: VerifyConfig) -> dict:
             disent,
             float(
                 np.linalg.norm(
-                    cas.disentangled_rotation(two_j / 2.0, angles).entries
+                    oracles.disentangled_rotation(two_j / 2.0, angles).entries
                     - cas.rotation_operator_spin(two_j / 2.0, angles).entries
                 )
             ),

@@ -12,10 +12,7 @@ from gbstates.cas import (
     CasParams,
     cas_overlap_modulus_sq,
     cas_state,
-    dicke_states_tensor,
-    disentangled_rotation,
     rotation_operator_spin,
-    tensor_atom_space,
 )
 from gbstates.delta_basis import delta_basis
 from gbstates.gbs import (
@@ -27,13 +24,14 @@ from gbstates.gbs import (
     orthogonal_partner,
     params_to_angles,
 )
-from gbstates.hilbert import StateVector, basis_state, commutator, expm, inner
+from gbstates.hilbert import StateVector, basis_state, commutator, inner
 from gbstates.hp_algebra import (
     RotationSpec,
     hp_operators,
     rotated_operators,
     rotation_operator,
 )
+from gbstates.oracles import dicke_states_tensor, disentangled_rotation, expm, tensor_atom_space
 from gbstates.resolution import SphereQuadrature, identity_resolution, reconstruct
 from gbstates.squeezing import closed_form_indexes, direct_stats, squeezing_terms
 

@@ -11,15 +11,13 @@ from gbstates.cas import (
     cas_identity_resolution,
     cas_overlap_modulus_sq,
     cas_state,
-    dicke_states_tensor,
-    disentangled_rotation,
     rotated_cas_operators,
     rotation_operator_spin,
     spin_j_operators,
-    tensor_atom_space,
 )
 from gbstates.gbs import BlochAngles, GbsParams, gbs_state, params_to_angles
 from gbstates.hilbert import StateVector, adjoint, basis_state, commutator, inner
+from gbstates.oracles import dicke_states_tensor, disentangled_rotation, tensor_atom_space
 from gbstates.resolution import SphereQuadrature, reconstruct
 
 TWO_PI = 2 * math.pi
@@ -52,6 +50,13 @@ class TestSpinJOperators:
     def test_rejects_bad_spin(self):
         with pytest.raises(ValueError, match="half-integer"):
             spin_j_operators(0.3)
+
+    @pytest.mark.parametrize("J", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_spin(self, J):
+        with pytest.raises(ValueError, match=f"half-integer, got {J}"):
+            spin_j_operators(J)
+        with pytest.raises(ValueError, match=f"half-integer, got {J}"):
+            CasParams(J, BlochAngles(1.0, 0.5))
 
 
 class TestTensorSpace:
@@ -240,7 +245,7 @@ class TestTensorOracle:
             dicke = dicke_states_tensor(n_atoms)
             angles = random_angles(rng)
             xi = (angles.theta / 2) * np.exp(-1j * angles.varphi)
-            from gbstates.hilbert import expm
+            from gbstates.oracles import expm
 
             r = expm((-xi) * space.Jplus + np.conj(xi) * space.Jminus)
             rotated = (r @ dicke[-1]).amp

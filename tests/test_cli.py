@@ -424,3 +424,54 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["state", "-N", "2"])  # missing -p
     assert excinfo.value.code == 2
+
+
+def _amplitude_rows(amplitudes, *prefix):
+    return [(*prefix, n, a["re"], a["im"]) for n, a in enumerate(amplitudes)]
+
+
+# subcommand -> (arguments, CSV header, the CSV rows read off the JSON payload)
+CSV_CASES = {
+    "state": (
+        ["state", "-N", "7", "-p", "0.41", "--phi", "2.2", "--dim", "9"],
+        "n,re,im",
+        lambda d: _amplitude_rows(d["amplitudes"]),
+    ),
+    "overlap": (
+        ["overlap", "-N", "9", "-p", "0.3", "--phi", "0.4", "--p2", "0.8", "--phi2", "2"],
+        "re,im,abs",
+        lambda d: [(d["re"], d["im"], d["abs"])],
+    ),
+    "partner": (
+        ["partner", "-N", "9", "-p", "0.25", "--phi", "1.3"],
+        "N,p,phi",
+        lambda d: [(d["N"], d["p"], d["phi"])],
+    ),
+    "basis": (
+        ["basis", "-N", "4", "-p", "0.35", "--phi", "1.1"],
+        "m,n,re,im",
+        lambda d: [row for m, s in enumerate(d["states"]) for row in _amplitude_rows(s, m)],
+    ),
+    "expand": (
+        ["expand", "STATE_FILE", "--theta-nodes", "5"],
+        "n,re,im",
+        lambda d: _amplitude_rows(d["amplitudes"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_CASES))
+def test_csv_holds_the_numbers_of_the_json(capsys, tmp_path, command):
+    argv, header, rows_of = CSV_CASES[command]
+    state_file = tmp_path / "state.json"
+    assert main(["state", "-N", "6", "-p", "0.6", "--phi", "0.7", "-o", str(state_file)]) == 0
+    argv = [str(state_file) if a == "STATE_FILE" else a for a in argv]
+    code_json, out_json, _ = run_cli(capsys, *argv)
+    code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code_json == code_csv == 0
+    lines = out_csv.split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    # 17 significant digits round-trip a double, so the numbers agree exactly
+    got = [tuple(float(x) for x in line.split(",")) for line in lines[1:-1]]
+    want = [tuple(float(x) for x in row) for row in rows_of(json.loads(out_json))]
+    assert got == want and len(got) > 0

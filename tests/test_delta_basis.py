@@ -120,6 +120,16 @@ def test_ladder_index_validated():
         delta_state(3, 4, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("m", [1.5, True, math.nan, math.inf, -1])
+def test_ladder_index_must_be_an_integer_in_range(m):
+    with pytest.raises(ValueError, match=rf"ladder index m={m} must be an integer in \[0, 3\]"):
+        delta_state(3, m, 0.3, 0.0)
+
+
+def test_integral_float_ladder_index_is_the_integer():
+    assert delta_state(3, 2.0, 0.3, 0.7).amp.tobytes() == delta_state(3, 2, 0.3, 0.7).amp.tobytes()
+
+
 def test_phase_convention_first_amplitude_real_positive():
     basis = delta_basis(6, 0.3, 2.2)
     for s in basis.states:

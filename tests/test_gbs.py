@@ -220,6 +220,13 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="too small"):
             coherent_state_truncated(2.0, 10)
 
+    @pytest.mark.parametrize(
+        "alpha", [complex("nan"), math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)]
+    )
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_state_truncated(alpha, 40)
+
 
 def test_binomial_amplitudes_normalized_up_to_n300():
     for n in (1, 10, 300):

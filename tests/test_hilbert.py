@@ -10,10 +10,10 @@ from gbstates.hilbert import (
     apply,
     basis_state,
     commutator,
-    expm,
     identity,
     inner,
 )
+from gbstates.oracles import expm
 
 
 def random_state(rng, dim):

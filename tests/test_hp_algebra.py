@@ -10,7 +10,6 @@ from gbstates.gbs import BlochAngles, GbsParams, gbs_state, orthogonal_partner
 from gbstates.hilbert import adjoint, apply, basis_state, commutator, inner
 from gbstates.hp_algebra import (
     RotationSpec,
-    _ladder_rotation,
     composition_angles,
     composition_residual,
     hp_operators,
@@ -18,6 +17,7 @@ from gbstates.hp_algebra import (
     rotated_operators,
     rotation_operator,
 )
+from gbstates.oracles import rotation_expm
 
 TWO_PI = 2 * math.pi
 
@@ -112,7 +112,7 @@ def test_rotation_matches_expm_oracle(n):
     for theta in (0.0, 1e-9, math.pi / 2, math.pi - 1e-9, math.pi):
         spec = RotationSpec.from_angles(BlochAngles(theta, rng.random() * TWO_PI))
         r = rotation_operator(n, spec).entries
-        assert np.abs(r - _ladder_rotation(n, spec.eta).entries).max() <= 1e-12
+        assert np.abs(r - rotation_expm(hp_operators(n), spec.eta).entries).max() <= 1e-12
 
 
 def test_large_rotation_is_unitary_with_gbs_top_column():

@@ -12,14 +12,12 @@ import math
 import numpy as np
 import pytest
 
-import gbstates.hilbert
-import gbstates.hp_algebra
+import gbstates.oracles
 from gbstates.cas import rotated_cas_operators, rotation_operator_spin
 from gbstates.delta_basis import delta_basis, delta_state
 from gbstates.gbs import BlochAngles, GbsParams, gbs_state
 from gbstates.hp_algebra import (
     RotationSpec,
-    _ladder_rotation,
     _link,
     composition_angles,
     composition_residual,
@@ -28,6 +26,7 @@ from gbstates.hp_algebra import (
     rotated_operators,
     rotation_operator,
 )
+from gbstates.oracles import rotation_expm
 
 TWO_PI = 2 * math.pi
 
@@ -36,10 +35,9 @@ def test_no_production_path_reaches_the_dense_exponential(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense matrix exponential called")
 
-    monkeypatch.setattr(gbstates.hilbert, "expm", refuse)
-    monkeypatch.setattr(gbstates.hp_algebra, "expm", refuse)
+    monkeypatch.setattr(gbstates.oracles, "expm", refuse)
     with pytest.raises(AssertionError, match="dense"):
-        _ladder_rotation(3, 0.2)  # the patch is live: the oracle does hit it
+        rotation_expm(hp_operators(3), 0.2)  # the patch is live: the oracle does hit it
     a, b = BlochAngles(1.2, 0.3), BlochAngles(2.1, 2.8)
     x, y = GbsParams(9, 0.3, 1.1), GbsParams(9, 0.8, 4.0)
     hp_operators(9)
@@ -57,7 +55,7 @@ def dense_composition_residual(N: int, a: BlochAngles, b: BlochAngles) -> float:
     """composition_residual with R(Theta, Phi) from the dense exponential: the reference."""
     t = _link(N, a, b)
     big_theta, big_phi, phase = composition_angles(a, b)
-    r_comp = _ladder_rotation(N, (big_theta / 2.0) * cmath.exp(-1j * big_phi))
+    r_comp = rotation_expm(hp_operators(N), (big_theta / 2.0) * cmath.exp(-1j * big_phi))
     return float(np.linalg.norm(t.entries - phase * r_comp.entries))
 
 

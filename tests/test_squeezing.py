@@ -11,10 +11,10 @@ from gbstates.hilbert import StateVector, basis_state, commutator
 from gbstates.squeezing import (
     closed_form_indexes,
     direct_stats,
-    quadrature_ops,
     squeeze_scan,
     squeezing_terms,
 )
+from gbstates.oracles import quadrature_ops
 
 TWO_PI = 2 * math.pi
 
