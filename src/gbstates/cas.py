@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import BlochAngles, _phased_row, binomial_amplitudes
+from .gbs import BlochAngles, _phased_state, _support_moduli
 from .hilbert import OperatorMatrix, StateVector
 from .hp_algebra import PseudoSpinSet, RotationSpec, _rotated_set, hp_operators
 from .hp_algebra import rotation_operator
@@ -31,7 +31,9 @@ from .resolution import _warn_if_under_resolved
 def _check_half_integer(J) -> int:
     """Validate 2J is a non-negative integer; return it."""
     two_j = 2.0 * J
-    if not 0 <= two_j < math.inf or abs(two_j - round(two_j)) > 1e-12:
+    if isinstance(J, (bool, np.bool_)) or not (
+        0 <= two_j < math.inf and abs(two_j - round(two_j)) <= 1e-12
+    ):
         raise ValueError(f"J must be a non-negative half-integer, got {J}")
     return int(round(two_j))
 
@@ -67,12 +69,11 @@ def cas_state(params: CasParams) -> StateVector:
     two_j = _check_half_integer(params.J)
     half = params.angles.theta / 2.0
     if half < math.pi / 4.0:
-        mods = binomial_amplitudes(two_j, math.sin(half) ** 2)[::-1]
+        lo, mods = _support_moduli(two_j, math.sin(half) ** 2)
+        lo, mods = two_j + 1 - lo - mods.size, mods[::-1]
     else:
-        mods = binomial_amplitudes(two_j, math.cos(half) ** 2)
-    amp = _phased_row(mods, -1j * params.angles.varphi)
-    amp /= np.linalg.norm(amp)
-    return StateVector(amp)
+        lo, mods = _support_moduli(two_j, math.cos(half) ** 2)
+    return _phased_state(two_j + 1, lo, mods, -1j * params.angles.varphi)
 
 
 def rotation_operator_spin(J, angles: BlochAngles) -> OperatorMatrix:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -138,7 +139,12 @@ def cmd_expand(args) -> int:
     n_theta = args.theta_nodes if args.theta_nodes is not None else n_theta
     n_phi = args.phi_nodes if args.phi_nodes is not None else n_phi
     quad = SphereQuadrature.build(n_theta, n_phi)
-    amplitudes = _amplitude_list(reconstruct(StateVector(amp), n, quad).amp)
+    # a warning (the under-resolved grid) is one plain stderr line, without
+    # the file and source line of Python's default display
+    with warnings.catch_warnings(record=True) as caught:
+        amplitudes = _amplitude_list(reconstruct(StateVector(amp), n, quad).amp)
+    for warning in caught:
+        print(f"gbstates expand: warning: {warning.message}", file=sys.stderr)
     _write(args, {"N": n, "amplitudes": amplitudes}, "n,re,im", _amplitude_rows(amplitudes))
     return 0
 

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .gbs import (
-    _EXP_FLOOR,
     GbsParams,
     _check_angle,
     _check_photon_number,
@@ -112,61 +111,55 @@ def _cross_log_rows(N: int) -> list[np.ndarray]:
 
 
 class _CrossRow(NamedTuple):
-    """Reusable rows of the cross sums of one M over a scan's p grid.
-
-    half_logc is the _cross_log_rows row of M, n and rest are n = 0..M and
-    M - n, and terms is the zero-padded row of M + 1 terms, which each
-    _cross_binomial_sum zeroes again on the interval it wrote.
-    """
+    """Reusable rows of the cross sums of one M over a scan's p grid:
+    half_logc is the _cross_log_rows row of M, n and rest are n = 0..M and M - n."""
 
     half_logc: np.ndarray
     n: np.ndarray
     rest: np.ndarray
-    terms: np.ndarray
 
 
 def _cross_rows(N: int) -> list[_CrossRow]:
-    """A _CrossRow per _cross_log_rows(N) row, built once per scan.
-
-    The rows of M = N-1 and N-2 take their n and terms as prefixes of one
-    arange and one zero row of N entries, since the sums run one at a time.
-    """
-    n, terms = np.arange(N, dtype=float), np.zeros(N)
+    """A _CrossRow per _cross_log_rows(N) row, built once per scan; the rows of
+    M = N-1 and N-2 take their n as prefixes of one arange of N entries."""
+    n = np.arange(N, dtype=float)
     rows = []
     for half_logc in _cross_log_rows(N):
         size = half_logc.size
-        rows.append(_CrossRow(half_logc, n[:size], (size - 1) - n[:size], terms[:size]))
+        rows.append(_CrossRow(half_logc, n[:size], (size - 1) - n[:size]))
     return rows
+
+
+# log(2^-1022), the smallest normal double: np.exp leaves numpy's vector path
+# for a subnormal result, at about 130 ns a lane against about 1.5 ns
+_NORMAL_FLOOR = math.log(np.finfo(float).tiny)
 
 
 def _cross_binomial_sum(N: int, M: int, p: float, row: _CrossRow | None) -> float:
     """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1.
 
     Since C(N,n) <= N^(N-M) C(M,n), each term is at most N^((N-M)/2) times
-    the binomial row C(M,n) p^n (1-p)^(M-n), so only that row's _support
-    interval [lo, hi) is evaluated, as exp(half_logc + (n log p + (M-n) log(1-p))).
-    The sum runs over the whole zero-padded row of M + 1 terms, in the
-    pairwise order of the full evaluation. A scan passes the _CrossRow of
-    M, whose buffers serve every p and are left zero again; without one,
-    the rows are built on the interval alone and the padded row afresh.
+    the binomial row C(M,n) p^n (1-p)^(M-n), so only the _support interval
+    [lo, hi) of that row outside which every term lies below 2^-1022 is
+    evaluated, as exp(half_logc + (n log p + (M-n) log(1-p))), and summed in
+    numpy's pairwise order over that window. The terms left out add up to
+    under (M + 1) 2^-1022, far below the last digit of a sum that holds its
+    largest term. A scan passes the _CrossRow of M, whose rows serve every
+    p; without one, the rows are built on the interval alone.
     """
     log_p, log_q = math.log(p), math.log1p(-p)
-    lo, hi = _support(M, log_p, log_q, _EXP_FLOOR - 0.5 * (N - M) * math.log(N))
+    lo, hi = _support(M, log_p, log_q, _NORMAL_FLOOR - 0.5 * (N - M) * math.log(N))
     if row is None:
         half_logc = 0.5 * (_log_binomial_row(N, lo, hi) + _log_binomial_row(M, lo, hi))
         n = np.arange(lo, hi, dtype=float)
-        rest, terms = M - n, np.zeros(M + 1)
+        rest = M - n
     else:
         half_logc, n, rest = row.half_logc[lo:hi], row.n[lo:hi], row.rest[lo:hi]
-        terms = row.terms
-    window = terms[lo:hi]
-    np.multiply(n, log_p, out=window)
+    window = n * log_p
     window += rest * log_q
     window += half_logc  # IEEE addition commutes: the bytes of half_logc + window
     np.exp(window, out=window)
-    total = float(np.add.reduce(terms))  # np.sum's reduction, without its wrapper
-    window.fill(0.0)
-    return total
+    return float(np.add.reduce(window))  # np.sum's reduction, without its wrapper
 
 
 def _squeezing_terms(N: int, p: float, cross_rows: list[_CrossRow] | None) -> SqueezingTerms:
@@ -206,9 +199,9 @@ def _indexes_from_terms(N: int, p, a, b2, cos2, cos_sq, sin_sq):
 def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
     """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>.
 
-    Costs an O(N) zero fill and sum plus O(sqrt(N p (1-p))) exps: the
-    binomial cross sums are evaluated only where their terms do not
-    underflow, on intervals that _support finds in a few Newton steps.
+    Costs O(sqrt(N p (1-p))) exps and adds: the binomial cross sums are
+    evaluated and summed only where their terms are normal doubles, on
+    intervals that _support finds in a few Newton steps.
     """
     terms = squeezing_terms(N, p)
     return _indexes_from_terms(N, p, terms.A_term, terms.B_term ** 2, *_angle_factors(phi))

@@ -3,7 +3,9 @@
 Each reference below is the per-k list comprehension the library used
 before its rows were vectorised. The row performs the same IEEE
 operations in the same order, so every comparison is exact: bytes, not
-a tolerance.
+a tolerance. The vector paths evaluate, normalise and sum each row on its
+support interval alone, so a reference restricts its whole row to the
+interval that the call recorded.
 """
 
 import hashlib
@@ -68,47 +70,132 @@ def ref_binomial_amplitudes(N, p):
     return np.exp(logw)
 
 
-def ref_gbs_amp(params):
-    amp = ref_binomial_amplitudes(params.N, params.p) * np.exp(
-        1j * params.phi * np.arange(params.N + 1)
-    )
-    return amp / np.linalg.norm(amp)
+class RecordedSupports:
+    """Patches gbs._support where the vector paths call it and records each
+    (lo, hi) it returns, in call order."""
+
+    def __init__(self, monkeypatch):
+        self.intervals = []
+        real = gbs._support
+
+        def spy(*args):
+            interval = real(*args)
+            self.intervals.append(interval)
+            return interval
+
+        for module in (gbs, squeezing):
+            monkeypatch.setattr(module, "_support", spy)
+
+    def pop(self):
+        (interval,) = self.intervals
+        self.intervals.clear()
+        return interval
+
+    def take(self):
+        """Every interval recorded since the last pop or take."""
+        intervals = list(self.intervals)
+        self.intervals.clear()
+        return intervals
+
+    def row(self, N, p):
+        """The interval of the binomial row of (N, p) just evaluated: the
+        recorded one, or the one entry that the poles p = 0, 1 set without a search."""
+        if p == 0.0:
+            return 0, 1
+        if p == 1.0:
+            return N, N + 1
+        return self.pop()
 
 
-def ref_gbs_overlap(a, b):
+def assert_positive_zeros_outside(full, interval):
+    lo, hi = interval
+    outside = np.concatenate((full[:lo], full[hi:]))
+    assert not outside.any() and not np.signbit(outside).any()
+
+
+def assert_below_normal_outside(full, interval):
+    lo, hi = interval
+    outside = np.concatenate((full[:lo], full[hi:]))
+    assert (outside < np.finfo(float).tiny).all()
+
+
+def state_on_support(moduli, ramp, interval, dim):
+    """The out-of-place product moduli * ramp over the whole row, restricted to
+    interval (outside which every modulus is +0.0) and normalised there, in a
+    zero row of dim entries; every signed zero becomes +0.0."""
+    assert_positive_zeros_outside(moduli, interval)
+    lo, hi = interval
+    row = (moduli * ramp)[lo:hi]
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[lo:hi] = row / np.linalg.norm(row) + 0.0
+    return amp
+
+
+def ref_gbs_amp(params, interval, dim=None):
+    N = params.N
+    ramp = np.exp(1j * params.phi * np.arange(N + 1))
+    return state_on_support(ref_binomial_amplitudes(N, params.p), ramp, interval, dim or N + 1)
+
+
+def full_overlap_moduli(a, b):
+    """The overlap moduli over the whole row, as gbs_overlap computed them before
+    it evaluated the support alone."""
     N = a.N
     n = np.arange(N + 1, dtype=float)
-    logc = ref_logc(N)
+    logmod = _log_binomial_row(N)
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = np.log(a.p * b.p)
         lq = np.log((1.0 - a.p) * (1.0 - b.p))
-        logmod = logc.copy()
         logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
         logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
-    terms = np.exp(logmod) * np.exp(1j * n * (b.phi - a.phi))
-    return complex(np.sum(terms))
+    return np.exp(logmod)
 
 
-def ref_cross_binomial_sum(N, M, p):
+def ref_gbs_overlap(a, b, interval):
+    """The whole row of overlap terms, summed over interval alone."""
+    moduli = full_overlap_moduli(a, b)
+    assert_positive_zeros_outside(moduli, interval)
+    terms = moduli * np.exp(1j * np.arange(a.N + 1) * (b.phi - a.phi))
+    lo, hi = interval
+    return complex(np.sum(terms[lo:hi]))
+
+
+def ref_cross_binomial_sum(N, M, p, interval):
+    """The whole row of cross-sum terms, summed over interval alone: every term
+    outside it is below the smallest normal double."""
     n = np.arange(M + 1, dtype=float)
     logs = 0.5 * np.array([log_binomial(N, k) + log_binomial(M, k) for k in range(M + 1)])
     logs += n * math.log(p) + (M - n) * math.log1p(-p)
-    return float(np.sum(np.exp(logs)))
+    terms = np.exp(logs)
+    assert_below_normal_outside(terms, interval)
+    lo, hi = interval
+    return float(np.sum(terms[lo:hi]))
 
 
-def ref_squeezing_terms(N, p):
+def ref_squeezing_terms(N, p, intervals):
+    """A and B from the cross sums of M = N-1 and N-2 over the intervals that
+    squeezing_terms(N, p) recorded, in that order."""
     if p in (0.0, 1.0) or N == 0:
+        assert intervals == []
         return SqueezingTerms(0.0, 0.0)
-    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * ref_cross_binomial_sum(N, N - 1, p)
+    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * ref_cross_binomial_sum(N, N - 1, p, intervals[0])
     if N < 2:
         return SqueezingTerms(0.0, b)
-    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * ref_cross_binomial_sum(N, N - 2, p)
+    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * ref_cross_binomial_sum(
+        N, N - 2, p, intervals[1]
+    )
     return SqueezingTerms(a, b)
 
 
-def ref_closed_form_indexes(N, p, phi, terms=None):
-    if terms is None:
-        terms = ref_squeezing_terms(N, p)
+def recorded_squeezing_terms(N, p):
+    """(squeezing_terms(N, p), its reference over the supports the call recorded)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorded = RecordedSupports(monkeypatch)
+        terms = squeezing_terms(N, p)
+        return terms, ref_squeezing_terms(N, p, recorded.take())
+
+
+def ref_closed_form_indexes(N, p, phi, terms):
     a, b2 = terms.A_term, terms.B_term ** 2
     cos2 = math.cos(2.0 * phi)
     s_x = -2.0 * N * p - a * cos2 + b2 * math.cos(phi) ** 2
@@ -146,28 +233,33 @@ def test_binomial_amplitudes_bit_equal(N, p):
 
 @pytest.mark.parametrize("N", N_VALUES)
 @pytest.mark.parametrize("p", P_VALUES)
-def test_gbs_state_bit_equal(N, p):
+def test_gbs_state_bit_equal(N, p, monkeypatch):
+    recorded = RecordedSupports(monkeypatch)
     params = GbsParams(N, p, 1.3)
-    assert_bytes_equal(gbs_state(params).amp, ref_gbs_amp(params))
+    amp = gbs_state(params).amp
+    assert_bytes_equal(amp, ref_gbs_amp(params, recorded.row(N, p)))
 
 
 @pytest.mark.parametrize("N", LARGE_N_VALUES)
 @pytest.mark.parametrize("p", P_VALUES)
-def test_gbs_overlap_bit_equal(N, p):
+def test_gbs_overlap_bit_equal(N, p, monkeypatch):
     a = GbsParams(N, p, 0.2)
     # the antipodal pair is spelled out: orthogonal_partner rejects N = 0
     antipode = GbsParams(N, 1.0 - p, 0.2 + math.pi)
+    recorded = RecordedSupports(monkeypatch)
     for b in (GbsParams(N, 0.31, 2.1), GbsParams(N, p, 5.0), antipode):
-        got, want = gbs_overlap(a, b), ref_gbs_overlap(a, b)
+        got = gbs_overlap(a, b)
+        want = ref_gbs_overlap(a, b, recorded.pop())
         assert (got.real, got.imag) == (want.real, want.imag)
 
 
 @pytest.mark.parametrize("N", LARGE_N_VALUES)
 @pytest.mark.parametrize("p", P_VALUES)
 def test_squeezing_terms_and_indexes_bit_equal(N, p):
-    assert squeezing_terms(N, p) == ref_squeezing_terms(N, p)
+    terms, want = recorded_squeezing_terms(N, p)
+    assert terms == want
     for phi in (0.0, 0.4, math.pi / 2, 3.0):
-        assert closed_form_indexes(N, p, phi) == ref_closed_form_indexes(N, p, phi)
+        assert closed_form_indexes(N, p, phi) == ref_closed_form_indexes(N, p, phi, want)
 
 
 @pytest.mark.parametrize("N", (0, 1, 2, 5, 200, 10**4, 10**5))
@@ -176,7 +268,7 @@ def test_every_scan_row_equals_closed_form_indexes(N):
     phi_grid = np.linspace(0.0, 2.0 * math.pi, 9)
     rows = squeeze_scan(N, p_grid, phi_grid)
     assert len(rows) == p_grid.size * phi_grid.size
-    ref_terms = {p: ref_squeezing_terms(N, p) for p in p_grid}
+    ref_terms = {p: recorded_squeezing_terms(N, p)[1] for p in p_grid}
     for row in rows:
         assert (row.S_X, row.S_P) == closed_form_indexes(N, row.p, row.phi)
         assert (row.S_X, row.S_P) == ref_closed_form_indexes(N, row.p, row.phi, ref_terms[row.p])
@@ -399,10 +491,12 @@ def test_failed_growth_keeps_the_previous_table(empty_table, monkeypatch, fresh_
     # smaller N are served from the kept table, without growing it
     assert table_dependent_digest(N) == before == fresh_process_digests[N]
     params = GbsParams(300, 0.77, 1.3)
-    assert_bytes_equal(gbs_state(params).amp, ref_gbs_amp(params))
+    assert_bytes_equal(gbs_state(params).amp, ref_gbs_amp(params, (0, 301)))
 
 
 # --- in-place phase ramps against the out-of-place products they replaced ---
+# Each state is the whole-row out-of-place product restricted to the support
+# that the call recorded, normalised there, with every zero +0.0.
 
 RAMP_NS = (0, 1, 2, 7, 300)
 RAMP_PS = (0.0, 1.0, 0.37, 1e-9, 1.0 - 1e-9)
@@ -411,120 +505,74 @@ RAMP_PHIS = (0.0, 1.3, -2.7, -1e6, 1e6)
 
 @pytest.mark.parametrize("N", (10**4, 16382, 16383, 10**5))
 @pytest.mark.parametrize("p", (0.37, 0.77))
-def test_in_place_ramps_keep_the_sign_of_underflowed_zeros(N, p):
+def test_in_place_ramps_keep_the_sign_of_underflowed_zeros(N, p, monkeypatch):
     # about N = 16383 numpy starts to evaluate moduli * ramp as ramp *= moduli;
-    # the two orders differ in the sign of zero where the tail moduli underflow
+    # the two orders differ in the sign of zero where the tail moduli underflow,
+    # and on either side of it every zero of the states is +0.0
+    recorded = RecordedSupports(monkeypatch)
     phi = -2.7
     params = GbsParams(N, p, phi)
-    assert_bytes_equal(gbs_state(params).amp, out_of_place_gbs_amp(params, N + 1))
+    amp = gbs_state(params).amp
+    assert_bytes_equal(amp, ref_gbs_amp(params, recorded.pop()))
     other = GbsParams(N, 0.999, 1.0)
     for a, b in ((params, other), (other, params)):
-        got, want = gbs_overlap(a, b), ref_gbs_overlap(a, b)
+        got = gbs_overlap(a, b)
+        want = ref_gbs_overlap(a, b, recorded.pop())
         assert (got.real, got.imag) == (want.real, want.imag)
     angles = BlochAngles(2.0 * math.acos(math.sqrt(p)), phi)
-    assert_bytes_equal(cas_state(CasParams(N / 2, angles)).amp, out_of_place_cas_amp(N, angles))
+    amp = cas_state(CasParams(N / 2, angles)).amp
+    assert_bytes_equal(amp, out_of_place_cas_amp(N, angles, recorded))
     assert_bytes_equal(
         coherent_state_truncated(3 - 2j, N + 1).amp, out_of_place_coherent_amp(3 - 2j, N + 1)
     )
 
 
-def out_of_place_gbs_amp(params, dim):
-    N = params.N
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[: N + 1] = binomial_amplitudes(N, params.p) * np.exp(
-        1j * params.phi * np.arange(N + 1)
-    )
-    amp /= np.linalg.norm(amp)
-    return amp
-
-
-def out_of_place_cas_amp(two_j, angles):
+def out_of_place_cas_amp(two_j, angles, recorded):
+    """The CAS from the whole (mirrored below theta = pi/2) binomial row, on the
+    support that cas_state just recorded."""
     half = angles.theta / 2.0
-    if half < math.pi / 4.0:
-        mods = binomial_amplitudes(two_j, math.sin(half) ** 2)[::-1]
-    else:
-        mods = binomial_amplitudes(two_j, math.cos(half) ** 2)
-    n = np.arange(two_j + 1)
-    amp = mods * np.exp(-1j * n * angles.varphi)
-    amp /= np.linalg.norm(amp)
-    return amp
+    mirrored = half < math.pi / 4.0
+    p = math.sin(half) ** 2 if mirrored else math.cos(half) ** 2
+    lo, hi = recorded.row(two_j, p)
+    mods = ref_binomial_amplitudes(two_j, p)
+    if mirrored:
+        mods, lo, hi = mods[::-1], two_j + 1 - hi, two_j + 1 - lo
+    ramp = np.exp(-1j * np.arange(two_j + 1) * angles.varphi)
+    return state_on_support(mods, ramp, (lo, hi), two_j + 1)
 
 
 def out_of_place_coherent_amp(alpha, dim):
     a = abs(alpha)
     n = np.arange(dim, dtype=float)
     logmod = -0.5 * a * a + n * math.log(a) - 0.5 * _lgamma_table(dim - 1)
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[:] = np.exp(logmod) * np.exp(1j * n * np.angle(alpha))
-    amp /= np.linalg.norm(amp)
-    return amp
+    return state_on_support(np.exp(logmod), np.exp(1j * n * np.angle(alpha)), (0, dim), dim)
 
 
 @pytest.mark.parametrize("N", RAMP_NS)
 @pytest.mark.parametrize("p", RAMP_PS)
-def test_in_place_ramps_are_bit_equal_to_the_out_of_place_products(N, p):
+def test_in_place_ramps_are_bit_equal_to_the_out_of_place_products(N, p, monkeypatch):
+    recorded = RecordedSupports(monkeypatch)
     for phi in RAMP_PHIS:
         params = GbsParams(N, p, phi)
         for dim in (N + 1, N + 4):
-            assert_bytes_equal(gbs_state(params, dim).amp, out_of_place_gbs_amp(params, dim))
+            amp = gbs_state(params, dim).amp
+            assert_bytes_equal(amp, ref_gbs_amp(params, recorded.row(N, p), dim))
         for other in (GbsParams(N, 0.2, -phi), GbsParams(N, 1.0 - p, phi + 3.0), params):
             # both orders, so that the phase difference takes either sign
             for a, b in ((params, other), (other, params)):
-                got, want = gbs_overlap(a, b), ref_gbs_overlap(a, b)
+                got = gbs_overlap(a, b)
+                want = ref_gbs_overlap(a, b, recorded.pop())
                 assert (got.real, got.imag) == (want.real, want.imag)
         theta = 2.0 * math.atan2(math.sqrt(1.0 - p), math.sqrt(p))
         for angles in (BlochAngles(theta, phi), BlochAngles(math.pi - theta, -phi)):
-            assert_bytes_equal(
-                cas_state(CasParams(N / 2, angles)).amp, out_of_place_cas_amp(N, angles)
-            )
+            amp = cas_state(CasParams(N / 2, angles)).amp
+            assert_bytes_equal(amp, out_of_place_cas_amp(N, angles, recorded))
 
 
 # --- support intervals: every term outside them underflows to +0.0 ---------
 
 EDGE_PS = (0.0, 1.0, 5e-324, 2.2e-308, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53)
 probabilities = st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0))
-
-
-class RecordedSupports:
-    """Patches gbs._support where the vector paths call it and records each
-    (lo, hi) it returns, in call order."""
-
-    def __init__(self, monkeypatch):
-        self.intervals = []
-        real = gbs._support
-
-        def spy(*args):
-            interval = real(*args)
-            self.intervals.append(interval)
-            return interval
-
-        for module in (gbs, squeezing):
-            monkeypatch.setattr(module, "_support", spy)
-
-    def pop(self):
-        (interval,) = self.intervals
-        self.intervals.clear()
-        return interval
-
-
-def assert_positive_zeros_outside(full, interval):
-    lo, hi = interval
-    outside = np.concatenate((full[:lo], full[hi:]))
-    assert not outside.any() and not np.signbit(outside).any()
-
-
-def full_overlap_moduli(a, b):
-    """The overlap moduli over the whole row, as gbs_overlap computed them before
-    it evaluated the support alone."""
-    N = a.N
-    n = np.arange(N + 1, dtype=float)
-    logmod = _log_binomial_row(N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp = np.log(a.p * b.p)
-        lq = np.log((1.0 - a.p) * (1.0 - b.p))
-        logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
-        logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
-    return np.exp(logmod)
 
 
 @settings(deadline=None, max_examples=60)
@@ -548,9 +596,10 @@ def test_rows_vanish_outside_their_support(N, p, p2):
         a, b = GbsParams(N, p, 0.0), GbsParams(N, p2, 0.0)
         z = gbs_overlap(a, b)
         full = full_overlap_moduli(a, b)
-        assert_positive_zeros_outside(full, recorded.pop())
+        lo, hi = recorded.pop()
+        assert_positive_zeros_outside(full, (lo, hi))
         # equal phases: each term is its modulus, summed in complex pairwise order
-        want = complex(np.sum(full.astype(np.complex128)))
+        want = complex(np.sum(full[lo:hi].astype(np.complex128)))
         assert (z.real, z.imag) == (want.real, want.imag)
 
         squeezing_terms(N, p)
@@ -559,8 +608,29 @@ def test_rows_vanish_outside_their_support(N, p, p2):
                 M = row.size - 1
                 m = np.arange(M + 1, dtype=float)
                 full = np.exp(row + (m * math.log(p) + (M - m) * math.log1p(-p)))
-                assert_positive_zeros_outside(full, interval)
+                # the cross sums leave out their subnormal terms as well
+                assert_below_normal_outside(full, interval)
             assert len(recorded.intervals) == min(N, 2)
+
+
+def assert_unsigned_zeros(amp):
+    parts = amp.view(float)  # the real and imaginary parts of a complex row
+    assert not np.signbit(parts[parts == 0.0]).any()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 * 10**5), st.sampled_from(EDGE_PS), st.floats(-1e3, 1e3))
+@example(10**5, 0.37, 1.2)
+@example(16383, 0.5, -2.7)
+@example(2 * 10**5, 1.0 - 2.0**-53, 4.0)
+def test_no_amplitude_is_a_signed_zero(N, p, phi):
+    assert not np.signbit(binomial_amplitudes(N, p)).any()
+    assert_unsigned_zeros(gbs_state(GbsParams(N, p, phi)).amp)
+    theta = 2.0 * math.atan2(math.sqrt(1.0 - p), math.sqrt(p))
+    for angles in (BlochAngles(theta, phi), BlochAngles(math.pi - theta, -phi)):
+        assert_unsigned_zeros(cas_state(CasParams(N / 2, angles)).amp)
+    if N >= 69:  # |alpha|^2 + 10 |alpha| + 20 <= dim at |alpha| = |3 - 2j|
+        assert_unsigned_zeros(coherent_state_truncated(3 - 2j, N + 1).amp)
 
 
 def bisected_support(N, log_r, log_q, log_floor):

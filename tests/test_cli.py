@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,26 @@ class TestExpand:
         assert code == 2
         assert out == ""
         assert err == f"error: need {message}\n"
+
+    def test_under_resolved_grid_warning_is_one_plain_line(self, capsys, tmp_path):
+        state_file = tmp_path / "state.json"
+        _, out, _ = run_cli(capsys, "state", "-N", "6", "-p", "0.3", "--phi", "0.4")
+        state_file.write_text(out)
+        code, out, err = run_cli(capsys, "expand", str(state_file), "--phi-nodes", "4")
+        assert code == 0
+        assert err == (
+            "gbstates expand: warning: grid under-resolved for N=6: "
+            "need >= 4 theta nodes and >= 7 phi nodes for exactness\n"
+        )
+        assert "cli.py" not in err and "reconstruct(" not in err
+        # the output bytes do not depend on whether the warning is shown
+        quiet = tmp_path / "quiet.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, err = run_cli(
+                capsys, "expand", str(state_file), "--phi-nodes", "4", "-o", str(quiet)
+            )
+        assert (code, err) == (0, "") and quiet.read_text() == out
 
     def test_n_above_state_dimension_names_both(self, capsys, tmp_path):
         state_file = tmp_path / "state.json"

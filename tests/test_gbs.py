@@ -1,10 +1,14 @@
 """Tests for generalized binomial states, overlaps and parameter maps."""
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from gbstates.cas import CasParams
+from gbstates.delta_basis import delta_state
 from gbstates.gbs import (
     BlochAngles,
     GbsParams,
@@ -193,6 +197,19 @@ class TestNormalizeAngle:
         zero = gbs_state(GbsParams(1000, 0.3, 0.0)).amp
         assert gbs_state(params).amp.tobytes() == zero.tobytes()
 
+    def test_reduction_moves_a_large_angle_by_its_size_times_eps(self):
+        # the reduction is fmod by the double nearest 2 pi, 2.45e-16 below 2 pi,
+        # so phi = 1e6 (159155 turns) moves by 3.9e-11
+        phi = 1e6
+        angle = normalize_angle(phi)
+        assert angle == math.fmod(phi, TWO_PI)
+        with mpmath.workdps(50):
+            exact = mpmath.fmod(mpmath.mpf(phi), 2 * mpmath.pi)
+            shift = float(abs(mpmath.mpf(angle) - exact))
+            phase = complex(mpmath.exp(1j * exact))
+        assert 3.8e-11 < shift < 4.0e-11
+        assert 3.8e-11 < abs(cmath.exp(1j * angle) - phase) < 4.0e-11
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
@@ -244,3 +261,21 @@ def test_binomial_amplitudes_reject_probability_outside_unit_interval(p):
 def test_binomial_amplitudes_reject_bad_photon_number(N):
     with pytest.raises(ValueError, match=f"non-negative integer, got {N}"):
         binomial_amplitudes(N, 0.3)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda flag: GbsParams(flag, 0.5),
+        lambda flag: CasParams(flag, BlochAngles(1.0)),
+        lambda flag: binomial_amplitudes(flag, 0.5),
+        lambda flag: delta_state(flag, 0, 0.5, 0.0),
+        lambda flag: delta_state(1, flag, 0.5, 0.0),
+    ],
+    ids=["GbsParams-N", "CasParams-J", "binomial_amplitudes-N", "delta_state-N", "delta_state-m"],
+)
+def test_bools_are_not_counts(build, flag):
+    # True == 1 in Python, yet a bool photon number, spin or ladder index is an error
+    with pytest.raises(ValueError, match="integer"):
+        build(flag)
