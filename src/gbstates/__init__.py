@@ -68,6 +68,15 @@ from .squeezing import (
     squeeze_scan,
     squeezing_terms,
 )
-from .verify import VerifyConfig, run_verification
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # verify, and the oracles it imports, are loaded only when first asked for:
+    # an import of the package, or a CLI subcommand other than verify, needs neither
+    if name in ("VerifyConfig", "run_verification"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -73,7 +73,7 @@ def cas_state(params: CasParams) -> StateVector:
         lo, mods = two_j + 1 - lo - mods.size, mods[::-1]
     else:
         lo, mods = _support_moduli(two_j, math.cos(half) ** 2)
-    return _phased_state(two_j + 1, lo, mods, -1j * params.angles.varphi)
+    return _phased_state(two_j + 1, lo, mods, -params.angles.varphi)
 
 
 def rotation_operator_spin(J, angles: BlochAngles) -> OperatorMatrix:

@@ -25,7 +25,6 @@ from .gbs import GbsParams, gbs_overlap, gbs_state, orthogonal_partner
 from .hilbert import StateVector
 from .resolution import SphereQuadrature, _default_node_counts, reconstruct
 from .squeezing import squeeze_scan
-from .verify import VerifyConfig, run_verification
 
 CSV_FLOAT = "{:.17g}"
 
@@ -160,6 +159,9 @@ def cmd_squeeze_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: verify and its oracles are compiled and loaded only for this subcommand
+    from .verify import VerifyConfig, run_verification
+
     tolerance = args.tolerance
     if tolerance is None:
         env = os.environ.get("GBSTATES_TOLERANCE")

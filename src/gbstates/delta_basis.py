@@ -14,31 +14,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbs import GbsParams
+from .gbs import GbsParams, _phase_ramp
 from .hilbert import StateVector
-from .hp_algebra import _ladder_eigenvectors, _phase_ramp
+from .hp_algebra import _ladder_eigenvectors
 
 
-def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible amplitude of each column real positive."""
+def _fix_phase(vecs: np.ndarray, ramp: np.ndarray) -> np.ndarray:
+    """The states ramp * v for the real columns v of vecs, as the rows of a
+    C-ordered array, each made to have its first non-negligible amplitude real
+    positive. That amplitude is ramp[i] v[i] for the first i with |v[i]| above
+    1e-10 of the column's largest, so the row is scaled by sign(v[i]) conj(ramp[i]):
+    the phases come from the real columns, never from a complex modulus.
+    """
     mags = np.abs(vecs)
     idx = np.argmax(mags > 1e-10 * mags.max(axis=0), axis=0)
-    cols = np.arange(vecs.shape[1])
-    return vecs * np.conj(vecs[idx, cols] / mags[idx, cols])
+    fix = np.sign(vecs[idx, np.arange(vecs.shape[1])]) * np.conj(ramp[idx])
+    out = vecs.T * ramp
+    out *= fix[:, None]
+    return out
 
 
 def _ladder(prm: GbsParams, m: int | None = None) -> np.ndarray:
-    """Delta states m = 0..N, or the state m alone, as the columns of an array."""
+    """Delta states m = 0..N, or the state m alone, as the rows of an array."""
     N, p = prm.N, prm.p
-    cols = np.arange(N + 1) if m is None else np.array([m])
+    rungs = np.arange(N + 1) if m is None else np.array([m])
     if N == 0 or p in (0.0, 1.0):
         # R is the identity (p=1) or an inversion (p=0): the number basis, possibly
         # reversed; at N = 0 the vacuum alone, which has no orthogonal partner
-        vecs = np.zeros((N + 1, cols.size), dtype=np.complex128)
-        vecs[cols if p == 1.0 else N - cols, np.arange(cols.size)] = 1.0
-        return vecs
+        rows = np.zeros((rungs.size, N + 1), dtype=np.complex128)
+        rows[np.arange(rungs.size), rungs if p == 1.0 else N - rungs] = 1.0
+        return rows
     vecs = _ladder_eigenvectors(N, p, 1.0 - p, m)
-    return _fix_phase(_phase_ramp(N, prm.phi)[:, None] * vecs)
+    return _fix_phase(vecs, _phase_ramp(prm.phi, 0, np.empty(N + 1, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,8 @@ class DeltaBasis:
 
 def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
     """The full ladder from one eigensolve; phi is kept as given, bad input is a ValueError."""
-    vecs = _ladder(GbsParams(N, p, phi))
-    return DeltaBasis(N, p, phi, tuple(StateVector(v) for v in vecs.T))
+    rows = _ladder(GbsParams(N, p, phi))
+    return DeltaBasis(N, p, phi, tuple(StateVector(row) for row in rows))
 
 
 def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
@@ -62,4 +69,4 @@ def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
     prm = GbsParams(N, p, phi)
     if isinstance(m, (bool, np.bool_)) or not 0 <= m <= N or int(m) != m:
         raise ValueError(f"ladder index m={m} must be an integer in [0, {N}]")
-    return StateVector(_ladder(prm, int(m))[:, 0])
+    return StateVector(_ladder(prm, int(m))[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector
+from .hilbert import StateVector, _handed_over
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,25 +260,70 @@ def _support_moduli(N: int, p: float) -> tuple[int, np.ndarray]:
     return lo, np.exp(logw, out=logw)
 
 
-def _phased(mods: np.ndarray, step: complex, lo: int, out: np.ndarray) -> np.ndarray:
-    """out[k] = mods[k] * exp(step * (lo + k)) for k = 0..mods.size - 1; returns out."""
-    np.multiply(step, np.arange(lo, lo + mods.size), out=out)
-    np.exp(out, out=out)
+# the block length b of _phase_ramp: n = b j + k. Fixed, so that each entry's
+# bytes depend on (n, phi) alone; a ramp of size entries costs about
+# 2 (size / b + b) complex exps, fewest near size = b^2 (the gbs_state support
+# at N = 1e5 holds 16642 entries)
+_RAMP_BLOCK = 128
+
+
+def _phase_ramp(phi: float, lo: int, out: np.ndarray) -> np.ndarray:
+    """out[k] = e^(i phi (lo + k)) for k = 0..out.size - 1, out a contiguous
+    complex row; returns out.
+
+    Two levels, n = b j + k with b = _RAMP_BLOCK: e^(i phi n) is the product of
+    a coarse entry e^(i phi b j) and a fine entry e^(i phi k), each of them
+    e^(i x head) e^(i x tail) with head the 24-bit head of phi. x * head is
+    exact for n < 2^29, so no phase carries the rounding of n * phi (up to
+    n |phi| eps / 2, 5.8e-11 at n = 1e5, phi = 5.99): every entry is within a few
+    eps of e^(i n phi). About 2 (out.size / b + b) complex exps and one complex
+    product per entry, written into out. Every product takes numpy's loop for a
+    contiguous run times one broadcast entry, so an entry's bytes depend only on
+    (n, phi): a window equals the same slice of a whole-row ramp.
+    """
+    b = _RAMP_BLOCK
+    size = out.size
+    j0, k0 = divmod(lo, b)
+    one_block = k0 + size <= b
+    # the fine entries k, then the coarse entries b j of the blocks the window touches
+    k = np.arange(k0, k0 + size) if one_block else np.arange(b)
+    j = np.arange(j0, j0 + 1 if one_block else (lo + size - 1) // b + 1)
+    x = np.concatenate((k, b * j)).astype(float)
+    head = float(np.float32(phi))
+    phases = np.exp(x * (1j * head)) * np.exp(x * (1j * (phi - head)))
+    fine, coarse = phases[: k.size], phases[k.size :]
+    if one_block:
+        return np.multiply(coarse, fine, out=out)
+    # the rest of block j0, the whole blocks after it, then what is left of the last
+    first = b - k0
+    whole = (size - first) // b
+    last = first + whole * b
+    np.multiply(coarse[:1], fine[k0:], out=out[:first])
+    np.multiply(coarse[1 : whole + 1, None], fine, out=out[first:last].reshape(whole, b))
+    np.multiply(coarse[whole + 1 :], fine[: size - last], out=out[last:])
+    return out
+
+
+def _phased(mods: np.ndarray, phi: float, lo: int, out: np.ndarray) -> np.ndarray:
+    """out[k] = mods[k] * e^(i phi (lo + k)) for k = 0..mods.size - 1; returns out."""
+    _phase_ramp(phi, lo, out)
     out *= mods
     return out
 
 
-def _phased_state(dim: int, lo: int, mods: np.ndarray, step: complex) -> StateVector:
+def _phased_state(dim: int, lo: int, mods: np.ndarray, phi: float) -> StateVector:
     """The normalised state of dim entries whose entry lo + k is proportional to
-    mods[k] * exp(step * (lo + k)), and +0.0 outside; no entry is a signed zero.
+    mods[k] * e^(i phi (lo + k)), and +0.0 outside; no entry is a signed zero.
 
-    The ramp, the product and the norm run on the mods.size entries alone.
+    The ramp, the product and the norm run on the mods.size entries alone, the
+    norm and the scaling by its reciprocal on their real and imaginary parts.
+    The row is handed to the StateVector, not copied.
     """
     amp = np.zeros(dim, dtype=np.complex128)
-    row = _phased(mods, step, lo, amp[lo : lo + mods.size])
-    row /= np.linalg.norm(row)
-    row += 0.0  # -0.0 + 0.0 is +0.0: an underflowed product keeps no sign
-    return StateVector(amp)
+    parts = _phased(mods, phi, lo, amp[lo : lo + mods.size]).view(float)
+    parts *= 1.0 / np.linalg.norm(parts)
+    parts += 0.0  # -0.0 + 0.0 is +0.0: an underflowed product keeps no sign
+    return StateVector(_handed_over(amp))
 
 
 def binomial_amplitudes(N: int, p: float) -> np.ndarray:
@@ -306,7 +351,7 @@ def gbs_state(params: GbsParams, dim: int | None = None) -> StateVector:
         dim = N + 1
     if dim < N + 1:
         raise ValueError(f"need dim >= N+1 = {N + 1}, got {dim}")
-    return _phased_state(dim, *_support_moduli(N, params.p), 1j * params.phi)
+    return _phased_state(dim, *_support_moduli(N, params.p), params.phi)
 
 
 def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
@@ -336,7 +381,7 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
         logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
         logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
     mods = np.exp(logmod, out=logmod)
-    terms = _phased(mods, 1j * (b.phi - a.phi), lo, np.empty(hi - lo, dtype=np.complex128))
+    terms = _phased(mods, b.phi - a.phi, lo, np.empty(hi - lo, dtype=np.complex128))
     return complex(np.add.reduce(terms))
 
 
@@ -377,7 +422,7 @@ def coherent_state_truncated(alpha: complex, dim: int) -> StateVector:
     if a * a + 10.0 * a + 20.0 > dim:
         raise ValueError(f"dim {dim} too small for |alpha| = {a}: tail not negligible")
     if a == 0.0:
-        return _phased_state(dim, 0, np.ones(1), 0j)
+        return _phased_state(dim, 0, np.ones(1), 0.0)
     n = np.arange(dim, dtype=float)
     logmod = -0.5 * a * a + n * math.log(a) - 0.5 * _lgamma_table(dim - 1)
-    return _phased_state(dim, 0, np.exp(logmod, out=logmod), 1j * np.angle(alpha))
+    return _phased_state(dim, 0, np.exp(logmod, out=logmod), float(np.angle(alpha)))

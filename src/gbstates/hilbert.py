@@ -5,6 +5,15 @@ both double precision. The thin wrappers pin dimensions at module
 boundaries and freeze the underlying arrays, so every value is safe to
 share between threads after construction. The dense matrix exponential is
 a brute-force reference, in gbstates.oracles.
+
+Adoption: StateVector and OperatorMatrix keep, uncopied, an array that is
+complex128, read-only, owns its data and has their number of dimensions.
+Such an array is taken to be handed over: the constructors of this package
+build a row or matrix, set write=False on it and pass it on, which saves a
+copy of every state (1.6 MB at N = 1e5). A caller who hands an array over
+must keep no writeable view of it. Any other input, a writeable array, a
+view, another dtype or a list, is copied, so mutating it later leaves the
+object unchanged.
 """
 
 from __future__ import annotations
@@ -15,9 +24,26 @@ import numpy as np
 
 
 def _frozen_array(values, ndim: int) -> np.ndarray:
+    """values itself when it can be adopted (see the module docstring), else a
+    read-only complex128 copy; a ValueError unless it has ndim dimensions."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.complex128
+        and values.ndim == ndim
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=np.complex128, copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _handed_over(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, so that a StateVector or OperatorMatrix adopts it:
+    for an array its caller has just built and keeps no writeable view of."""
     arr.setflags(write=False)
     return arr
 
@@ -48,7 +74,7 @@ class StateVector:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amp / n)
+        return StateVector(_handed_over(self.amp / n))
 
 
 @dataclass(frozen=True)
@@ -70,23 +96,23 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.entries + other.entries)
+        return OperatorMatrix(_handed_over(self.entries + other.entries))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.entries - other.entries)
+        return OperatorMatrix(_handed_over(self.entries - other.entries))
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.entries)
+        return OperatorMatrix(_handed_over(-self.entries))
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries * scalar)
+        return OperatorMatrix(_handed_over(self.entries * scalar))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             _require_same_dim(self.dim, other.dim)
-            return OperatorMatrix(self.entries @ other.entries)
+            return OperatorMatrix(_handed_over(self.entries @ other.entries))
         if isinstance(other, StateVector):
             return apply(self, other)
         return NotImplemented
@@ -103,11 +129,11 @@ def basis_state(dim: int, n: int) -> StateVector:
         raise ValueError(f"basis index {n} outside [0, {dim})")
     amp = np.zeros(dim, dtype=np.complex128)
     amp[n] = 1.0
-    return StateVector(amp)
+    return StateVector(_handed_over(amp))
 
 
 def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=np.complex128))
+    return OperatorMatrix(_handed_over(np.eye(dim, dtype=np.complex128)))
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
@@ -119,7 +145,7 @@ def inner(u: StateVector, v: StateVector) -> complex:
 def apply(a: OperatorMatrix, v: StateVector) -> StateVector:
     """Matrix-vector product A|v>."""
     _require_same_dim(a.dim, v.dim)
-    return StateVector(a.entries @ v.amp)
+    return StateVector(_handed_over(a.entries @ v.amp))
 
 
 def adjoint(a: OperatorMatrix) -> OperatorMatrix:
@@ -128,5 +154,5 @@ def adjoint(a: OperatorMatrix) -> OperatorMatrix:
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     _require_same_dim(a.dim, b.dim)
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries)
+    return OperatorMatrix(_handed_over(a.entries @ b.entries - b.entries @ a.entries))
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbs import BlochAngles, GbsParams, _check_photon_number, _check_probability
-from .gbs import normalize_angle, params_to_angles
-from .hilbert import OperatorMatrix, adjoint
+from .gbs import _phase_ramp, normalize_angle, params_to_angles
+from .hilbert import OperatorMatrix, _handed_over, adjoint
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,16 @@ def _lift(N: int, p: float, q: float, phi: float, half_alpha: float = 0.0) -> Op
     O(N^2) time and memory beyond the eigensolve.
     """
     N = _check_photon_number(N)
-    tilt = _phase_ramp(N, half_alpha)
+    tilt = _phase_ramp(half_alpha, 0, np.empty(N + 1, dtype=np.complex128))
     row = tilt[::-1] * np.conj(tilt)  # e^(i a (N - 2n))
     if N == 0 or q == 0.0:
-        return OperatorMatrix(np.diag(row))
-    v = _ladder_eigenvectors(N, p, q)
-    col = _phase_ramp(N, phi)
-    out = (row * np.conj(col))[:, None] * v
-    out *= _ladder_signs(v, _ladder_bands(N, p, q)[1]) * col
-    return OperatorMatrix(out)
+        out = np.diag(row)
+    else:
+        v = _ladder_eigenvectors(N, p, q)
+        col = _phase_ramp(phi, 0, np.empty(N + 1, dtype=np.complex128))
+        out = (row * np.conj(col))[:, None] * v
+        out *= _ladder_signs(v, _ladder_bands(N, p, q)[1]) * col
+    return OperatorMatrix(_handed_over(out))
 
 
 def _ladder_signs(v: np.ndarray, m_bands: tuple) -> np.ndarray:
@@ -171,7 +172,7 @@ def _tridiagonal(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> Operator
     out = np.zeros((diag.size, diag.size), dtype=np.complex128)
     n = np.arange(diag.size)
     out[n, n], out[n[1:], n[:-1]], out[n[:-1], n[1:]] = diag, sub, sup
-    return OperatorMatrix(out)
+    return OperatorMatrix(_handed_over(out))
 
 
 def _ladder_bands(N: int, p: float, q: float) -> tuple[tuple, tuple]:
@@ -192,13 +193,6 @@ def _ladder_eigenvectors(N: int, p: float, q: float, m: int | None = None) -> np
 
     select = {} if m is None else {"select": "i", "select_range": (m, m)}
     return eigh_tridiagonal(*_ladder_bands(N, p, q)[0], **select)[1]  # ascending m
-
-
-def _phase_ramp(N: int, phi: float) -> np.ndarray:
-    """e^(i n phi) for n = 0..N, from a 24-bit head of phi whose products n * head
-    are exact for N < 2^29: rounding n * phi would shift each phase by up to N phi eps."""
-    n, head = np.arange(N + 1.0), float(np.float32(phi))
-    return np.exp(1j * (n * head)) * np.exp(1j * (n * (phi - head)))
 
 
 def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:

@@ -3,10 +3,11 @@
 Each oracle reaches a result of the production modules by the slow, direct
 route: the dense matrix exponential of a rotation generator, the collective
 operators of N atoms on the full 2^N product space, the disentangled product
-of Arecchi et al. (1972) in extended precision, and the dense truncated
-quadrature matrices. No production module imports this one, so its cost
-(O(N^3) exponentials, 2^N-dimensional matrices, mpmath) never reaches a
-production path; scipy and mpmath are imported on first use only.
+of Arecchi et al. (1972) in extended precision, the dense truncated
+quadrature matrices, and the phases e^(i n phi) from an error-free product.
+No production module imports this one, so its cost (O(N^3) exponentials,
+2^N-dimensional matrices, mpmath) never reaches a production path; scipy
+and mpmath are imported on first use only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,29 @@ from .gbs import BlochAngles, log_binomial
 from .hilbert import OperatorMatrix, StateVector
 
 MAX_TENSOR_ATOMS = 12
+
+
+def _split(x):
+    """Veltkamp's split x = hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def exact_phase_ramp(phi: float, n) -> np.ndarray:
+    """e^(i n phi) for integers n, by another route than gbs._phase_ramp: Dekker's
+    TwoProduct gives n phi = hi + lo exactly, with |lo| <= ulp(hi) / 2, and
+    e^(i (hi + lo)) is taken as e^(i hi) (1 + i lo). The dropped lo^2 / 2 is below
+    3e-17 while |n phi| < 2^26 (7e-21 below 2^20, which covers n <= 1.6e5 at any
+    phi in [0, 2 pi)), so each entry is within a few eps of the exact phase there,
+    where e^(i n phi) from the rounded product n * phi is off by up to
+    |n phi| eps / 2."""
+    n = np.asarray(n, dtype=float)
+    hi = n * phi
+    n_hi, n_lo = _split(n)
+    phi_hi, phi_lo = _split(phi)
+    lo = ((n_hi * phi_hi - hi) + n_hi * phi_lo + n_lo * phi_hi) + n_lo * phi_lo
+    return np.exp(1j * hi) * (1.0 + 1j * lo)
 
 
 def expm(a: OperatorMatrix) -> OperatorMatrix:

@@ -39,10 +39,11 @@ from .gbs import (
     GbsParams,
     _check_photon_number,
     _log_binomial_row,
+    _phase_ramp,
     binomial_amplitudes,
     gbs_state,
 )
-from .hilbert import OperatorMatrix, StateVector, inner
+from .hilbert import OperatorMatrix, StateVector, _handed_over, inner
 
 
 def _default_node_counts(N: int) -> tuple[int, int]:
@@ -233,11 +234,12 @@ def _series(psi: StateVector, params: GbsParams, log_scale: float) -> complex:
     c = psi.amp[: N + 1]
     if params.p == 1.0:
         # |tau| = 0: only the n = N monomial survives
-        return complex(c[N] * cmath.exp(-1j * N * params.phi))
+        return complex(c[N] * _phase_ramp(-params.phi, N, np.empty(1, dtype=np.complex128))[0])
     n = np.arange(N + 1, dtype=float)
     log_abs_tau = 0.5 * (math.log1p(-params.p) - math.log(params.p))
     coeff = np.exp(0.5 * _log_binomial_row(N) + (N - n) * log_abs_tau + log_scale)
-    return complex(np.sum(c * coeff * np.exp(-1j * n * params.phi)))
+    ramp = _phase_ramp(-params.phi, 0, np.empty(N + 1, dtype=np.complex128))
+    return complex(np.sum(c * coeff * ramp))
 
 
 def _scaled_amplitude_routes(psi: StateVector, params: GbsParams) -> tuple[complex, complex]:
@@ -266,4 +268,4 @@ def reconstruct(psi: StateVector, N: int, quad: SphereQuadrature) -> StateVector
     _warn_if_under_resolved(N, quad)
     out = np.zeros(psi.dim, dtype=np.complex128)
     out[: N + 1] = _apply_resolution(N, quad, psi.amp)
-    return StateVector(out)
+    return StateVector(_handed_over(out))

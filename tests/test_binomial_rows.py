@@ -5,7 +5,10 @@ before its rows were vectorised. The row performs the same IEEE
 operations in the same order, so every comparison is exact: bytes, not
 a tolerance. The vector paths evaluate, normalise and sum each row on its
 support interval alone, so a reference restricts its whole row to the
-interval that the call recorded.
+interval that the call recorded. Their phases come from one kernel,
+gbs._phase_ramp, whose entries depend on (n, phi) alone: a reference takes
+the whole-row ramp of that kernel and slices it, and the kernel itself is
+checked against mpmath.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from gbstates.gbs import (
     _EXP_FLOOR,
     _lgamma_table,
     _log_binomial_row,
+    _phase_ramp,
     binomial_amplitudes,
     coherent_state_truncated,
     gbs_overlap,
@@ -119,21 +123,31 @@ def assert_below_normal_outside(full, interval):
     assert (outside < np.finfo(float).tiny).all()
 
 
+def whole_ramp(phi, size):
+    """e^(i phi n) for n = 0..size - 1: the kernel's whole row."""
+    return _phase_ramp(phi, 0, np.empty(size, dtype=np.complex128))
+
+
+def normalised(row):
+    """row times the reciprocal of its norm, both on its real and imaginary parts."""
+    parts = row.view(float)
+    return (parts * (1.0 / np.linalg.norm(parts))).view(np.complex128)
+
+
 def state_on_support(moduli, ramp, interval, dim):
     """The out-of-place product moduli * ramp over the whole row, restricted to
     interval (outside which every modulus is +0.0) and normalised there, in a
     zero row of dim entries; every signed zero becomes +0.0."""
     assert_positive_zeros_outside(moduli, interval)
     lo, hi = interval
-    row = (moduli * ramp)[lo:hi]
     amp = np.zeros(dim, dtype=np.complex128)
-    amp[lo:hi] = row / np.linalg.norm(row) + 0.0
+    amp[lo:hi] = normalised((moduli * ramp)[lo:hi]) + 0.0
     return amp
 
 
 def ref_gbs_amp(params, interval, dim=None):
     N = params.N
-    ramp = np.exp(1j * params.phi * np.arange(N + 1))
+    ramp = whole_ramp(params.phi, N + 1)
     return state_on_support(ref_binomial_amplitudes(N, params.p), ramp, interval, dim or N + 1)
 
 
@@ -155,7 +169,7 @@ def ref_gbs_overlap(a, b, interval):
     """The whole row of overlap terms, summed over interval alone."""
     moduli = full_overlap_moduli(a, b)
     assert_positive_zeros_outside(moduli, interval)
-    terms = moduli * np.exp(1j * np.arange(a.N + 1) * (b.phi - a.phi))
+    terms = moduli * whole_ramp(b.phi - a.phi, a.N + 1)
     lo, hi = interval
     return complex(np.sum(terms[lo:hi]))
 
@@ -361,7 +375,7 @@ def test_expansion_series_bit_equal(N):
     n = np.arange(N + 1, dtype=float)
     log_abs_tau = 0.5 * (math.log1p(-params.p) - math.log(params.p))
     coeff = np.exp(0.5 * ref_logc(N) + (N - n) * log_abs_tau)
-    want = complex(np.sum(psi.amp * coeff * np.exp(-1j * n * params.phi)))
+    want = complex(np.sum(psi.amp * coeff * whole_ramp(-params.phi, N + 1)))
     assert expansion_amplitude_series(psi, params) == want
 
 
@@ -373,8 +387,7 @@ def test_coherent_state_bit_equal(alpha):
     logmod = -0.5 * a * a + n * math.log(a) - 0.5 * np.array(
         [math.lgamma(k + 1) for k in range(dim)]
     )
-    want = np.exp(logmod) * np.exp(1j * n * np.angle(alpha))
-    want /= np.linalg.norm(want)
+    want = normalised(np.exp(logmod) * whole_ramp(np.angle(alpha), dim)) + 0.0
     assert_bytes_equal(coherent_state_truncated(alpha, dim).amp, want)
 
 
@@ -537,15 +550,14 @@ def out_of_place_cas_amp(two_j, angles, recorded):
     mods = ref_binomial_amplitudes(two_j, p)
     if mirrored:
         mods, lo, hi = mods[::-1], two_j + 1 - hi, two_j + 1 - lo
-    ramp = np.exp(-1j * np.arange(two_j + 1) * angles.varphi)
-    return state_on_support(mods, ramp, (lo, hi), two_j + 1)
+    return state_on_support(mods, whole_ramp(-angles.varphi, two_j + 1), (lo, hi), two_j + 1)
 
 
 def out_of_place_coherent_amp(alpha, dim):
     a = abs(alpha)
     n = np.arange(dim, dtype=float)
     logmod = -0.5 * a * a + n * math.log(a) - 0.5 * _lgamma_table(dim - 1)
-    return state_on_support(np.exp(logmod), np.exp(1j * n * np.angle(alpha)), (0, dim), dim)
+    return state_on_support(np.exp(logmod), whole_ramp(np.angle(alpha), dim), (0, dim), dim)
 
 
 @pytest.mark.parametrize("N", RAMP_NS)

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gbstates.delta_basis import _fix_phase, delta_basis, delta_state
+from gbstates.delta_basis import delta_basis, delta_state
 from gbstates.gbs import GbsParams, gbs_state, log_binomial, orthogonal_partner
 from gbstates.hilbert import basis_state, inner
 from gbstates.hp_algebra import RotationSpec, rotated_operators, rotation_operator
@@ -138,6 +138,16 @@ def test_phase_convention_first_amplitude_real_positive():
         assert lead.real > 0
 
 
+def fix_phase(vecs):
+    """Each complex column times the unit phase that makes its first
+    non-negligible amplitude real positive: the phase rule of the ladder,
+    applied to the columns as they stand."""
+    mags = np.abs(vecs)
+    idx = np.argmax(mags > 1e-10 * mags.max(axis=0), axis=0)
+    cols = np.arange(vecs.shape[1])
+    return vecs * np.conj(vecs[idx, cols] / mags[idx, cols])
+
+
 def reference_ladder(N, p, phi):
     """The normalized raising recursion from the orthogonal partner, rows m = 0..N."""
     if N == 0 or p in (0.0, 1.0):
@@ -150,7 +160,7 @@ def reference_ladder(N, p, phi):
         amp = raising @ amp / math.sqrt(m * (N - m + 1))
         amp = amp / np.linalg.norm(amp)
         ladder.append(amp)
-    return _fix_phase(np.array(ladder).T).T
+    return fix_phase(np.array(ladder).T).T
 
 
 def reference_state(N, m, p, phi):
@@ -162,7 +172,7 @@ def reference_state(N, m, p, phi):
     for k in range(1, m + 1):
         amp = raising @ amp / k
     amp = amp * math.exp(-0.5 * log_binomial(N, m))
-    return _fix_phase((amp / np.linalg.norm(amp))[:, None])[:, 0]
+    return fix_phase((amp / np.linalg.norm(amp))[:, None])[:, 0]
 
 
 def oracle_ladder(N, p, phi, digits=40):

@@ -153,6 +153,40 @@ def test_values_are_frozen():
         a.entries[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("wrap, shape", [(StateVector, (4,)), (OperatorMatrix, (3, 3))])
+def test_a_writeable_array_is_copied(wrap, shape):
+    arr = np.ones(shape, dtype=np.complex128)
+    held = wrap(arr)
+    values = held.amp if wrap is StateVector else held.entries
+    arr[...] = 7.0
+    assert values is not arr and (values == 1.0).all()
+
+
+def test_a_read_only_array_that_owns_its_data_is_adopted():
+    amp = np.arange(4, dtype=np.complex128)
+    amp.setflags(write=False)
+    assert StateVector(amp).amp is amp
+    entries = np.eye(3, dtype=np.complex128)
+    entries.setflags(write=False)
+    assert OperatorMatrix(entries).entries is entries
+
+
+def test_a_read_only_view_or_another_dtype_is_copied():
+    base = np.arange(6, dtype=np.complex128)
+    view = base[1:5]
+    view.setflags(write=False)
+    state = StateVector(view)
+    base[...] = 9.0
+    assert state.amp is not view and state.amp.tolist() == [1, 2, 3, 4]
+    real = np.arange(4.0)
+    real.setflags(write=False)
+    assert StateVector(real).amp.dtype == np.complex128
+    wrong = np.zeros(3, dtype=np.complex128)
+    wrong.setflags(write=False)
+    with pytest.raises(ValueError, match="2-d"):
+        OperatorMatrix(wrong)
+
+
 def test_normalized_flag_and_renormalization():
     v = StateVector([3.0, 4.0])
     assert not v.is_normalized()

@@ -3,7 +3,8 @@
 gbstates.oracles holds the dense matrix exponential, the 2^N product space of
 N atoms, the mpmath disentangled product and the dense quadrature matrices.
 verify is the only module of the package that imports it, and no production
-module calls expm or np.kron or imports mpmath itself.
+module calls expm or np.kron or imports mpmath itself. Every complex
+exponential of an array is taken in one place, the phase-ramp kernel.
 """
 
 import ast
@@ -49,6 +50,19 @@ def _call_targets(tree: ast.Module) -> set[str]:
     return {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
 
+def _complex_exp_functions(tree: ast.Module) -> set[str]:
+    """The functions that call np.exp on an argument holding an imaginary literal."""
+    return {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "np.exp"
+        and "1j" in ast.unparse(node.args[0])
+    }
+
+
 def test_production_modules_are_found():
     assert {"cas", "cli", "gbs", "hilbert", "hp_algebra", "squeezing"} <= set(PRODUCTION)
 
@@ -68,6 +82,11 @@ def test_production_module_calls_no_dense_reference(module):
     assert not {m for m in _imported(tree) if m.split(".")[0] == "mpmath"}
     dense = {t for t in _call_targets(tree) if t.split(".")[-1] in ("expm", "kron")}
     assert not dense
+
+
+def test_only_the_phase_ramp_kernel_takes_complex_exponentials():
+    sites = {(module, f) for module in PRODUCTION for f in _complex_exp_functions(_tree(module))}
+    assert sites == {("gbs", "_phase_ramp")}
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
