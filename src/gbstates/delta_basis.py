@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbs import GbsParams, _phase_ramp
-from .hilbert import StateVector
+from .hilbert import StateVector, _handed_over
 from .hp_algebra import _ladder_eigenvectors
 
 
@@ -59,9 +59,11 @@ class DeltaBasis:
 
 
 def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
-    """The full ladder from one eigensolve; phi is kept as given, bad input is a ValueError."""
-    rows = _ladder(GbsParams(N, p, phi))
-    return DeltaBasis(N, p, phi, tuple(StateVector(row) for row in rows))
+    """The full ladder from one eigensolve; phi is kept as given, bad input is a ValueError.
+
+    Each state adopts its row of the one read-only matrix, uncopied."""
+    rows = _handed_over(_ladder(GbsParams(N, p, phi)))
+    return DeltaBasis(N, p, phi, tuple(map(StateVector, rows)))
 
 
 def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
@@ -69,4 +71,4 @@ def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
     prm = GbsParams(N, p, phi)
     if isinstance(m, (bool, np.bool_)) or not 0 <= m <= N or int(m) != m:
         raise ValueError(f"ladder index m={m} must be an integer in [0, {N}]")
-    return StateVector(_ladder(prm, int(m))[0])
+    return StateVector(_handed_over(_ladder(prm, int(m)))[0])

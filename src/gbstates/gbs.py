@@ -114,6 +114,9 @@ def _log_binomial_row(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
 # log lies below this floor is a zero
 _EXP_FLOOR = -746.0
 
+# log(2^-64): terms that add up to under 2^-64 of a sum cannot reach its last bit
+_LOG_EPS_64 = -64.0 * math.log(2.0)
+
 
 def _support(N: int, log_r: float, log_q: float, log_floor: float) -> tuple[int, int]:
     """Index interval [lo, hi) of a binomial row outside which every term
@@ -360,8 +363,11 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
     Sums C(N,n) (p p')^(n/2) [(1-p)(1-p')]^((N-n)/2) e^(i n (phi'-phi)) directly
     from the parameters; vanishes exactly at the antipodal pair (1-p, phi+pi).
     The terms are s^N times a binomial row in r = sqrt(p p') / s, with
-    s = sqrt(p p') + sqrt((1-p)(1-p')), so only the _support interval of
-    that row, outside which every term is 0, is evaluated and summed:
+    s = sqrt(p p') + sqrt((1-p)(1-p')), so their moduli sum to s^N exactly.
+    Only the _support interval of that row is evaluated and summed. Its
+    floor is the higher of 2^-64 / (N+1), below which the row entries left
+    out add up to under 2^-64 and their terms cannot reach the last bit of
+    the sum, and the level at which a term underflows to 0 in np.exp:
     O(sqrt(N r (1-r))) work, and O(1) when s^N underflows, as for an
     antipode far from p = 1/2.
     """
@@ -372,7 +378,8 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
         lp = np.log(a.p * b.p)
         lq = np.log((1.0 - a.p) * (1.0 - b.p))
         log_s = np.logaddexp(0.5 * lp, 0.5 * lq)
-        lo, hi = _support(N, 0.5 * lp - log_s, 0.5 * lq - log_s, _EXP_FLOOR - N * log_s)
+        floor = max(_EXP_FLOOR - N * log_s, _LOG_EPS_64 - math.log(N + 1.0))
+        lo, hi = _support(N, 0.5 * lp - log_s, 0.5 * lq - log_s, floor)
         if lo == hi:
             return 0j
         n = np.arange(lo, hi, dtype=float)
@@ -404,7 +411,14 @@ def params_to_angles(params: GbsParams) -> BlochAngles:
 
 
 def angles_to_params(angles: BlochAngles, N: int) -> GbsParams:
-    """Inverse of params_to_angles: p = cos^2(theta/2), phi = 2*pi - varphi."""
+    """Inverse of params_to_angles: p = cos^2(theta/2), phi = 2*pi - varphi.
+
+    Near theta = 0 this p loses 1 - p = sin^2(theta/2): cos(theta/2) rounds
+    to 1 once theta^2 / 8 < 2^-54, so p is exactly 1 below theta = 2^-25.5
+    (about 2.1e-8; 1.5e-8 for an exactly rounded cos^2), and above it 1 - p
+    is off by up to about eps absolute (1.3% at theta = 3e-8). A path that
+    needs 1 - p of a small polar angle must take it from theta, not from p.
+    """
     p = math.cos(angles.theta / 2.0) ** 2
     return GbsParams(N, p, TWO_PI - angles.varphi)
 

@@ -10,10 +10,12 @@ Adoption: StateVector and OperatorMatrix keep, uncopied, an array that is
 complex128, read-only, owns its data and has their number of dimensions.
 Such an array is taken to be handed over: the constructors of this package
 build a row or matrix, set write=False on it and pass it on, which saves a
-copy of every state (1.6 MB at N = 1e5). A caller who hands an array over
-must keep no writeable view of it. Any other input, a writeable array, a
-view, another dtype or a list, is copied, so mutating it later leaves the
-object unchanged.
+copy of every state (1.6 MB at N = 1e5). A StateVector also keeps a whole,
+contiguous, read-only row of such a 2-d array, so that the N + 1 states of
+a ladder share the one matrix they were computed in. A caller who hands an
+array over must keep no writeable view of it. Any other input, a writeable
+array, another view, another dtype or a list, is copied, so mutating it
+later leaves the object unchanged.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ import numpy as np
 def _frozen_array(values, ndim: int) -> np.ndarray:
     """values itself when it can be adopted (see the module docstring), else a
     read-only complex128 copy; a ValueError unless it has ndim dimensions."""
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.complex128
-        and values.ndim == ndim
-        and values.flags.owndata
-        and not values.flags.writeable
-    ):
-        return values
+    if type(values) is np.ndarray and values.dtype == np.complex128 and values.ndim == ndim:
+        flags = values.flags
+        if not flags.writeable:
+            if flags.owndata:
+                return values
+            # a whole row of a handed-over matrix, which owns the data read-only
+            base = values.base
+            if ndim == 1 and flags.c_contiguous and type(base) is np.ndarray and base.ndim == 2:
+                owner = base.flags
+                if owner.owndata and not owner.writeable and values.size == base.shape[1]:
+                    return values
     arr = np.array(values, dtype=np.complex128, copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")

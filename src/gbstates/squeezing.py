@@ -8,8 +8,12 @@ below vacuum. For |N,p,phi> both indexes have closed forms,
     S_X = -2Np - A(N,p) cos(2 phi) + B(N,p)^2 cos^2(phi)
     S_P = -2Np + A(N,p) cos(2 phi) + B(N,p)^2 sin^2(phi)
 
-with A and B binomial cross sums; this module evaluates them and
-cross-checks against direct operator expectation values.
+with A and B binomial cross sums, both over the one row
+t_n = sqrt(C(N,n) C(N-1,n)) p^n (1-p)^(N-1-n), n = 0..N-1:
+B = 2 sqrt(N p (1-p)) sum t_n and A = 2 sqrt(N) p sum t_n sqrt(N-1-n), the
+paper's sum over C(N,n) C(N-2,n) by C(N-2,n) = C(N-1,n) (N-1-n)/(N-1).
+This module evaluates them and cross-checks against direct operator
+expectation values.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gbs import (
+    _EXP_FLOOR,
+    _LOG_EPS_64,
     GbsParams,
     _check_angle,
     _check_photon_number,
@@ -99,81 +105,70 @@ def direct_stats(psi: StateVector) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, 1.0 - var_x, 1.0 - var_p)
 
 
-def _cross_log_rows(N: int) -> list[np.ndarray]:
-    """0.5 * log(C(N,n) C(M,n)) for n = 0..M, for M = N-1 and M = N-2 where M >= 0.
-
-    The rows do not depend on p, so a scan builds them once for all p.
-    """
-    if N < 1:
-        return []
-    logc = _log_binomial_row(N)
-    return [0.5 * (logc[: M + 1] + _log_binomial_row(M)) for M in (N - 1, N - 2) if M >= 0]
-
-
 class _CrossRow(NamedTuple):
-    """Reusable rows of the cross sums of one M over a scan's p grid:
-    half_logc is the _cross_log_rows row of M, n and rest are n = 0..M and M - n."""
+    """The p-independent rows of the cross sums on an index window: half_logc
+    is 0.5 log(C(N,n) C(N-1,n)), n the index, rest N-1-n, root_rest its root."""
 
     half_logc: np.ndarray
     n: np.ndarray
     rest: np.ndarray
+    root_rest: np.ndarray
 
 
-def _cross_rows(N: int) -> list[_CrossRow]:
-    """A _CrossRow per _cross_log_rows(N) row, built once per scan; the rows of
-    M = N-1 and N-2 take their n as prefixes of one arange of N entries."""
-    n = np.arange(N, dtype=float)
-    rows = []
-    for half_logc in _cross_log_rows(N):
-        size = half_logc.size
-        rows.append(_CrossRow(half_logc, n[:size], (size - 1) - n[:size]))
-    return rows
+def _cross_row(N: int, lo: int = 0, hi: int | None = None) -> _CrossRow:
+    """The _CrossRow of n = lo..hi - 1 (default the whole row n = 0..N-1), for
+    N >= 1; a scan builds the whole row once for all p."""
+    if hi is None:
+        hi = N
+    n = np.arange(lo, hi, dtype=float)
+    rest = (N - 1) - n
+    half_logc = 0.5 * (_log_binomial_row(N, lo, hi) + _log_binomial_row(N - 1, lo, hi))
+    return _CrossRow(half_logc, n, rest, np.sqrt(rest))
 
 
-# log(2^-1022), the smallest normal double: np.exp leaves numpy's vector path
-# for a subnormal result, at about 130 ns a lane against about 1.5 ns
-_NORMAL_FLOOR = math.log(np.finfo(float).tiny)
+def _cross_sums(N: int, p: float, row: _CrossRow | None) -> tuple[float, float]:
+    """(sum_n t_n, sum_n t_n sqrt(N-1-n)) for N >= 1 and 0 < p < 1, with
+    t_n = sqrt(C(N,n) C(N-1,n)) p^n (1-p)^(N-1-n), n = 0..N-1.
 
-
-def _cross_binomial_sum(N: int, M: int, p: float, row: _CrossRow | None) -> float:
-    """sum_n sqrt(C(N,n) C(M,n)) p^n (1-p)^(M-n) over n = 0..M, for 0 < p < 1.
-
-    Since C(N,n) <= N^(N-M) C(M,n), each term is at most N^((N-M)/2) times
-    the binomial row C(M,n) p^n (1-p)^(M-n), so only the _support interval
-    [lo, hi) of that row outside which every term lies below 2^-1022 is
-    evaluated, as exp(half_logc + (n log p + (M-n) log(1-p))), and summed in
-    numpy's pairwise order over that window. The terms left out add up to
-    under (M + 1) 2^-1022, far below the last digit of a sum that holds its
-    largest term. A scan passes the _CrossRow of M, whose rows serve every
-    p; without one, the rows are built on the interval alone.
+    By C(N-1,n) <= C(N,n) <= N C(N-1,n), t_n lies between the binomial row
+    b_n = C(N-1,n) p^n (1-p)^(N-1-n) and sqrt(N) b_n. So sum t_n >= 1 and, as
+    (N-1-n)/(N-n) >= 1/2 for n <= N-2, sum t_n sqrt(N-1-n) >= (1-p) sqrt(N/2)
+    for N >= 2. Both sums run over the one _support window of b_n outside
+    which b_n < 2^-64 (1-p) / (sqrt(2) N^1.5): each term left out of either
+    sum is below 2^-64 of it over the N terms, so together they cannot reach
+    its last bit. The floor never drops below the level where sqrt(N) b_n
+    underflows in np.exp. The window is exp(half_logc + (n log p + (N-1-n)
+    log(1-p))), summed in numpy's pairwise order, then scaled by sqrt(N-1-n)
+    in place and summed again. A scan passes the whole _cross_row(N);
+    without it, the rows are built on the window alone.
     """
     log_p, log_q = math.log(p), math.log1p(-p)
-    lo, hi = _support(M, log_p, log_q, _NORMAL_FLOOR - 0.5 * (N - M) * math.log(N))
-    if row is None:
-        half_logc = 0.5 * (_log_binomial_row(N, lo, hi) + _log_binomial_row(M, lo, hi))
-        n = np.arange(lo, hi, dtype=float)
-        rest = M - n
-    else:
-        half_logc, n, rest = row.half_logc[lo:hi], row.n[lo:hi], row.rest[lo:hi]
+    log_n = math.log(N)
+    floor = _LOG_EPS_64 + log_q - 0.5 * math.log(2.0) - 1.5 * log_n
+    lo, hi = _support(N - 1, log_p, log_q, max(floor, _EXP_FLOOR - 0.5 * log_n))
+    half_logc, n, rest, root_rest = (
+        _cross_row(N, lo, hi) if row is None else (r[lo:hi] for r in row)
+    )
     window = n * log_p
     window += rest * log_q
     window += half_logc  # IEEE addition commutes: the bytes of half_logc + window
     np.exp(window, out=window)
-    return float(np.add.reduce(window))  # np.sum's reduction, without its wrapper
+    b_sum = float(np.add.reduce(window))  # np.sum's reduction, without its wrapper
+    window *= root_rest
+    return b_sum, float(np.add.reduce(window))
 
 
-def _squeezing_terms(N: int, p: float, cross_rows: list[_CrossRow] | None) -> SqueezingTerms:
-    """A(N,p) and B(N,p), on the _cross_rows(N) buffers when given."""
+def _squeezing_terms(N: int, p: float, row: _CrossRow | None) -> SqueezingTerms:
+    """A(N,p) = 2 sqrt(N) p sum t_n sqrt(N-1-n) and B(N,p) = 2 sqrt(N p q) sum t_n,
+    from _cross_sums on the whole _cross_row(N) when given."""
     _check_photon_number(N)
     _check_probability(p)
     if p in (0.0, 1.0) or N == 0:
         return SqueezingTerms(0.0, 0.0)
-    rows = cross_rows or (None, None)
-    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * _cross_binomial_sum(N, N - 1, p, rows[0])
-    if N < 2:
-        return SqueezingTerms(0.0, b)
-    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * _cross_binomial_sum(N, N - 2, p, rows[1])
-    return SqueezingTerms(a, b)
+    b_sum, a_sum = _cross_sums(N, p, row)
+    return SqueezingTerms(
+        2.0 * math.sqrt(N) * p * a_sum, 2.0 * math.sqrt(N * p * (1.0 - p)) * b_sum
+    )
 
 
 def squeezing_terms(N: int, p: float) -> SqueezingTerms:
@@ -199,9 +194,10 @@ def _indexes_from_terms(N: int, p, a, b2, cos2, cos_sq, sin_sq):
 def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
     """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>.
 
-    Costs O(sqrt(N p (1-p))) exps and adds: the binomial cross sums are
-    evaluated and summed only where their terms are normal doubles, on
-    intervals that _support finds in a few Newton steps.
+    Costs O(sqrt(N p (1-p))) exps and adds: both binomial cross sums are
+    evaluated on one window, which _support finds in a few Newton steps,
+    outside which every term lies below 2^-64 of its sum over the count of
+    terms (see _cross_sums): the terms left out cannot reach the last bit.
     """
     terms = squeezing_terms(N, p)
     return _indexes_from_terms(N, p, terms.A_term, terms.B_term ** 2, *_angle_factors(phi))
@@ -235,10 +231,10 @@ def squeeze_scan(
         return rows
     _check_photon_number(N)
     cos2, cos_sq, sin_sq = np.array([_angle_factors(phi) for phi in phi_grid]).T
-    cross_rows = _cross_rows(N)
+    row = _cross_row(N) if N else None
     a, b2 = [], []
     for p in p_grid:
-        terms = _squeezing_terms(N, p, cross_rows)
+        terms = _squeezing_terms(N, p, row)
         a.append(terms.A_term)
         b2.append(terms.B_term ** 2)
     p_col, a, b2 = (np.array(v)[:, None] for v in (p_grid, a, b2))

@@ -19,6 +19,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -117,10 +118,14 @@ def assert_positive_zeros_outside(full, interval):
     assert not outside.any() and not np.signbit(outside).any()
 
 
-def assert_below_normal_outside(full, interval):
+def assert_below_floor_outside(terms, interval):
+    """Every term outside interval is at most 2^-64 of the sum of the moduli of
+    the whole row, over the count of its terms: together they cannot reach the
+    last bit of the sum. Below the underflow floor they are +0.0."""
     lo, hi = interval
-    outside = np.concatenate((full[:lo], full[hi:]))
-    assert (outside < np.finfo(float).tiny).all()
+    mags = np.abs(terms)
+    outside = np.concatenate((mags[:lo], mags[hi:]))
+    assert (outside <= 2.0**-64 * math.fsum(mags) / mags.size).all()
 
 
 def whole_ramp(phi, size):
@@ -168,37 +173,45 @@ def full_overlap_moduli(a, b):
 def ref_gbs_overlap(a, b, interval):
     """The whole row of overlap terms, summed over interval alone."""
     moduli = full_overlap_moduli(a, b)
-    assert_positive_zeros_outside(moduli, interval)
+    assert_below_floor_outside(moduli, interval)
     terms = moduli * whole_ramp(b.phi - a.phi, a.N + 1)
     lo, hi = interval
     return complex(np.sum(terms[lo:hi]))
 
 
-def ref_cross_binomial_sum(N, M, p, interval):
-    """The whole row of cross-sum terms, summed over interval alone: every term
-    outside it is below the smallest normal double."""
-    n = np.arange(M + 1, dtype=float)
-    logs = 0.5 * np.array([log_binomial(N, k) + log_binomial(M, k) for k in range(M + 1)])
-    logs += n * math.log(p) + (M - n) * math.log1p(-p)
+def full_cross_terms(N, p):
+    """The whole rows t_n = sqrt(C(N,n) C(N-1,n)) p^n (1-p)^(N-1-n) and
+    t_n sqrt(N-1-n), n = 0..N-1, of the two cross sums."""
+    n = np.arange(N, dtype=float)
+    logs = 0.5 * (_log_binomial_row(N)[:N] + _log_binomial_row(N - 1))
+    terms = np.exp(n * math.log(p) + (N - 1 - n) * math.log1p(-p) + logs)
+    return terms, terms * np.sqrt(N - 1 - n)
+
+
+def ref_cross_sums(N, p, interval):
+    """The whole rows of the cross sums, each summed over interval alone: every
+    term outside it is below the floor of assert_below_floor_outside."""
+    n = np.arange(N, dtype=float)
+    logs = 0.5 * np.array([log_binomial(N, k) + log_binomial(N - 1, k) for k in range(N)])
+    logs += n * math.log(p) + (N - 1 - n) * math.log1p(-p)
     terms = np.exp(logs)
-    assert_below_normal_outside(terms, interval)
+    rooted = terms * np.sqrt(N - 1 - n)
     lo, hi = interval
-    return float(np.sum(terms[lo:hi]))
+    for row in (terms, rooted):
+        assert_below_floor_outside(row, interval)
+    return float(np.sum(terms[lo:hi])), float(np.sum(rooted[lo:hi]))
 
 
 def ref_squeezing_terms(N, p, intervals):
-    """A and B from the cross sums of M = N-1 and N-2 over the intervals that
-    squeezing_terms(N, p) recorded, in that order."""
+    """A = 2 sqrt(N) p sum t_n sqrt(N-1-n) and B = 2 sqrt(N p q) sum t_n, both
+    over the one interval that squeezing_terms(N, p) recorded."""
     if p in (0.0, 1.0) or N == 0:
         assert intervals == []
         return SqueezingTerms(0.0, 0.0)
-    b = 2.0 * math.sqrt(N * p * (1.0 - p)) * ref_cross_binomial_sum(N, N - 1, p, intervals[0])
-    if N < 2:
-        return SqueezingTerms(0.0, b)
-    a = 2.0 * math.sqrt(N * (N - 1.0)) * p * (1.0 - p) * ref_cross_binomial_sum(
-        N, N - 2, p, intervals[1]
-    )
-    return SqueezingTerms(a, b)
+    (interval,) = intervals
+    b_sum, a_sum = ref_cross_sums(N, p, interval)
+    a = 2.0 * math.sqrt(N) * p * a_sum
+    return SqueezingTerms(a, 2.0 * math.sqrt(N * p * (1.0 - p)) * b_sum)
 
 
 def recorded_squeezing_terms(N, p):
@@ -344,10 +357,10 @@ def test_scan_builds_its_binomial_rows_once(monkeypatch):
     from gbstates import squeezing
 
     calls = []
-    real = squeezing._cross_log_rows
-    monkeypatch.setattr(squeezing, "_cross_log_rows", lambda N: calls.append(N) or real(N))
+    real = squeezing._cross_row
+    monkeypatch.setattr(squeezing, "_cross_row", lambda *a: calls.append(a) or real(*a))
     squeeze_scan(50, np.linspace(0.0, 1.0, 7), [0.0, 1.0])
-    assert calls == [50]
+    assert calls == [(50,)]
 
 
 def test_scan_rejects_probability_outside_unit_interval():
@@ -581,7 +594,7 @@ def test_in_place_ramps_are_bit_equal_to_the_out_of_place_products(N, p, monkeyp
             assert_bytes_equal(amp, out_of_place_cas_amp(N, angles, recorded))
 
 
-# --- support intervals: every term outside them underflows to +0.0 ---------
+# --- support intervals: every term outside them is below their floor -------
 
 EDGE_PS = (0.0, 1.0, 5e-324, 2.2e-308, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53)
 probabilities = st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0))
@@ -609,20 +622,16 @@ def test_rows_vanish_outside_their_support(N, p, p2):
         z = gbs_overlap(a, b)
         full = full_overlap_moduli(a, b)
         lo, hi = recorded.pop()
-        assert_positive_zeros_outside(full, (lo, hi))
+        assert_below_floor_outside(full, (lo, hi))
         # equal phases: each term is its modulus, summed in complex pairwise order
         want = complex(np.sum(full[lo:hi].astype(np.complex128)))
         assert (z.real, z.imag) == (want.real, want.imag)
 
         squeezing_terms(N, p)
         if 0.0 < p < 1.0 and N > 0:
-            for row, interval in zip(squeezing._cross_log_rows(N), recorded.intervals):
-                M = row.size - 1
-                m = np.arange(M + 1, dtype=float)
-                full = np.exp(row + (m * math.log(p) + (M - m) * math.log1p(-p)))
-                # the cross sums leave out their subnormal terms as well
-                assert_below_normal_outside(full, interval)
-            assert len(recorded.intervals) == min(N, 2)
+            (interval,) = recorded.intervals
+            for row in full_cross_terms(N, p):
+                assert_below_floor_outside(row, interval)
 
 
 def assert_unsigned_zeros(amp):
@@ -726,3 +735,99 @@ def test_support_covers_a_few_standard_deviations_at_large_n():
     log_s = math.log(2.0 * math.sqrt(0.2 * 0.8))
     assert gbs._support(N, math.log(0.5), math.log(0.5), _EXP_FLOOR - N * log_s) == (0, 0)
     assert gbs_overlap(a, gbs.orthogonal_partner(a)) == 0j
+
+
+# --- the window sums against the whole rows ------------------------------
+# Each window leaves out terms that add up to under 2^-64 of the sum of the
+# moduli of the whole row; the checks below allow 2^-60 for the terms left
+# out, and separately 2^-46 of that sum for the pairwise roundoff of the sums.
+
+
+def assert_window_sum(got, terms, interval):
+    """got, the sum of the complex or real row terms over interval, against the
+    exactly rounded sum of the whole row."""
+    lo, hi = interval
+    mags = np.abs(terms)
+    total = math.fsum(mags)
+    assert math.fsum(mags[:lo]) + math.fsum(mags[hi:]) <= 2.0**-60 * total
+    parts = np.asarray(terms, dtype=np.complex128).view(float)
+    whole = complex(math.fsum(parts[0::2]), math.fsum(parts[1::2]))
+    assert abs(got - whole) <= (2.0**-60 + 2.0**-46) * total
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 * 10**5), probabilities, probabilities, st.floats(-7.0, 7.0))
+@example(10**5, 0.5, 0.5, 0.0)
+@example(10**5, 0.013, 0.013, 1.0)
+@example(2 * 10**5, 1e-9, 1.0 - 1e-9, 2.0)
+@example(2, 1.0 - 1e-9, 0.5, -3.0)
+@example(1, 0.3, 0.6, 0.0)
+def test_window_sums_equal_the_whole_row_sums(N, p, p2, phi):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorded = RecordedSupports(monkeypatch)
+        a = GbsParams(N, p, 0.0)
+        for b in (GbsParams(N, p2, phi), GbsParams(N, 1.0 - p, math.pi)):  # and the antipode
+            got = gbs_overlap(a, b)
+            terms = full_overlap_moduli(a, b) * whole_ramp(b.phi - a.phi, N + 1)
+            assert_window_sum(got, terms, recorded.pop())
+        if 0.0 < p < 1.0 and N > 0:
+            # the sums behind B = 2 sqrt(N p q) b_sum and A = 2 sqrt(N) p a_sum
+            b_sum, a_sum = squeezing._cross_sums(N, p, None)
+            interval = recorded.pop()
+            b_row, a_row = full_cross_terms(N, p)
+            assert_window_sum(b_sum, b_row, interval)
+            assert_window_sum(a_sum, a_row, interval)
+
+
+def mp_squeezing_terms(N, p):
+    """A and B at 40 digits in the paper's form: the cross sums of C(N,n) with
+    C(N-1,n) and with C(N-2,n), by exact binomial recurrences."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        q = 1 - p
+
+        def cross_sum(M):
+            total, c_n, c_m = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+            for n in range(M + 1):
+                total += mpmath.sqrt(c_n * c_m) * p**n * q ** (M - n)
+                c_n, c_m = c_n * (N - n) / (n + 1), c_m * (M - n) / (n + 1)
+            return total
+
+        b = 2 * mpmath.sqrt(N * p * q) * cross_sum(N - 1)
+        a = 2 * mpmath.sqrt(N * (N - 1)) * p * q * cross_sum(N - 2)
+        return a, b
+
+
+@pytest.mark.parametrize("N", (2, 3, 50, 1000, 4000))
+@pytest.mark.parametrize("p", (1e-9, 0.013, 0.37, 0.5, 0.77, 1.0 - 1e-9))
+def test_squeezing_terms_against_mpmath(N, p):
+    # the lgamma differences of the rows lose about N eps; the one-row form
+    # measured 1.4e-12 at N = 1000 and 2.0e-12 at N = 4000
+    terms = squeezing_terms(N, p)
+    a, b = mp_squeezing_terms(N, p)
+    bound = 16.0 * N * np.finfo(float).eps
+    assert abs(terms.A_term - a) <= bound * a
+    assert abs(terms.B_term - b) <= bound * b
+
+
+# --- the windows stay narrow ----------------------------------------------
+
+
+def test_scan_finds_one_window_per_probability(monkeypatch):
+    recorded = RecordedSupports(monkeypatch)
+    p_grid = [0.0, 0.2, 0.5, 1.0, 0.2, 1e-9]
+    squeeze_scan(300, p_grid, [0.0, 1.0, 2.0])
+    assert len(recorded.take()) == 4  # one per p strictly inside (0, 1)
+    squeeze_scan(0, p_grid, [0.0])
+    assert recorded.take() == []
+
+
+def test_windows_hold_a_few_thousand_entries_at_large_n(monkeypatch):
+    # a window of the underflow floor held about 11900 entries here
+    recorded = RecordedSupports(monkeypatch)
+    N = 10**5
+    half = GbsParams(N, 0.5, 0.0)
+    gbs_overlap(half, half)
+    squeezing_terms(N, 0.5)
+    for lo, hi in recorded.take():
+        assert lo < N / 2 < hi and hi - lo <= 4500

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gbstates.delta_basis import delta_basis, delta_state
 from gbstates.hilbert import (
     OperatorMatrix,
     StateVector,
@@ -169,6 +170,30 @@ def test_a_read_only_array_that_owns_its_data_is_adopted():
     entries = np.eye(3, dtype=np.complex128)
     entries.setflags(write=False)
     assert OperatorMatrix(entries).entries is entries
+
+
+def test_a_whole_row_of_a_handed_over_matrix_is_adopted():
+    rows = np.arange(12, dtype=np.complex128).reshape(3, 4).copy()
+    rows.setflags(write=False)
+    row = rows[1]
+    assert StateVector(row).amp is row
+    basis = delta_basis(6, 0.3, 1.1)
+    shared = basis.states[0].amp.base
+    assert shared.shape == (7, 7) and not shared.flags.writeable
+    assert all(s.amp.base is shared for s in basis.states)
+    assert delta_state(6, 2, 0.3, 1.1).amp.base.shape == (1, 7)
+
+
+def test_rows_of_a_writeable_owner_and_partial_rows_are_copied():
+    owner = np.arange(9, dtype=np.complex128).reshape(3, 3).copy()
+    view = owner.view()
+    view.setflags(write=False)
+    state = StateVector(view[1])  # read-only, but its owner is writeable
+    owner[...] = 0.0
+    assert state.amp.tolist() == [3, 4, 5]
+    owner.setflags(write=False)
+    for part in (owner[1, :2], owner[:, 1]):  # part of a row, a strided column
+        assert StateVector(part).amp.base is None
 
 
 def test_a_read_only_view_or_another_dtype_is_copied():
