@@ -96,14 +96,19 @@ def rotated_cas_operators(J, angles: BlochAngles) -> SpinJOperators:
     return _rotated_set(two_j, math.cos(half) ** 2, math.sin(half) ** 2, eph)
 
 
+def _unit_vector(angles: BlochAngles) -> tuple[float, float, float]:
+    sin_t = math.sin(angles.theta)
+    return sin_t * math.cos(angles.varphi), sin_t * math.sin(angles.varphi), math.cos(angles.theta)
+
+
 def cas_overlap_modulus_sq(J, a: BlochAngles, b: BlochAngles) -> float:
-    """|<theta,varphi|theta',varphi'>|^2 = cos(Theta/2)^(4J), Theta the great-circle angle."""
+    """|<theta,varphi|theta',varphi'>|^2 = cos(Theta/2)^(4J), Theta the great-circle angle,
+    as exp(2J log1p(-sin^2(Theta/2))) with sin(Theta/2) = |u_a - u_b| / 2 from the unit
+    vectors: a rounded (1 + cos Theta)/2 raised to the power 2J carries 2J times its
+    rounding. sin^2 is clamped to at most 1; the result is 1.0 at J = 0."""
     two_j = _check_half_integer(J)
-    cos_big = math.cos(a.theta) * math.cos(b.theta) + math.sin(a.theta) * math.sin(
-        b.theta
-    ) * math.cos(a.varphi - b.varphi)
-    cos_big = min(1.0, max(-1.0, cos_big))
-    return ((1.0 + cos_big) / 2.0) ** two_j  # cos^2(Theta/2)^(2J)
+    sin_sq = (math.dist(_unit_vector(a), _unit_vector(b)) / 2.0) ** 2
+    return math.exp(two_j * math.log1p(-sin_sq)) if sin_sq < 1.0 else float(two_j == 0)
 
 
 def cas_identity_resolution(J, quad: SphereQuadrature) -> OperatorMatrix:

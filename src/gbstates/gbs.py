@@ -110,6 +110,18 @@ def _log_binomial_row(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     return lg[n] - lg[lo:hi] - lg[n - hi + 1 : n - lo + 1][::-1]
 
 
+def _log_row(N: int, log_r, log_q, lo: int = 0, hi: int | None = None, logc=None) -> np.ndarray:
+    """log C(N,n) + n log_r + (N-n) log_q for n = lo..hi - 1 (default the whole row),
+    the one place that forms a binomial row; log_r and log_q are scalars, or (K, 1)
+    columns for K rows at once. logc, when given, is log C(N, n) on [lo, hi),
+    sliced from a row built once."""
+    n = np.arange(lo, N + 1 if hi is None else hi, dtype=float)
+    out = n * log_r
+    out += _log_binomial_row(N, lo, hi) if logc is None else logc  # bytes of logc + n log_r
+    out += (N - n) * log_q
+    return out
+
+
 # np.exp gives exactly +0.0 below log(2^-1075) = -745.13...; a row term whose
 # log lies below this floor is a zero
 _EXP_FLOOR = -746.0
@@ -122,8 +134,8 @@ def _support(N: int, log_r: float, log_q: float, log_floor: float) -> tuple[int,
     """Index interval [lo, hi) of a binomial row outside which every term
     lies below log_floor.
 
-    The row is log C(N,n) + n log_r + (N-n) log_q with r + q = 1, as its
-    callers compute it from the lgamma table; log_r or log_q may be -inf.
+    The row is the _log_row of (N, log_r, log_q) with r + q = 1; log_r or
+    log_q may be -inf.
     By the Chernoff bound it lies below g(n) = -N D(n/N || r), the
     Kullback-Leibler divergence, which is concave in n with its maximum 0
     at n = N r, so the terms at or above the floor form one interval.
@@ -258,8 +270,8 @@ def _support_moduli(N: int, p: float) -> tuple[int, np.ndarray]:
         return N, np.ones(1)
     log_p, log_q = math.log(p), math.log1p(-p)
     lo, hi = _support(N, log_p, log_q, 2.0 * _EXP_FLOOR)
-    n = np.arange(lo, hi, dtype=float)
-    logw = 0.5 * (_log_binomial_row(N, lo, hi) + n * log_p + (N - n) * log_q)
+    logw = _log_row(N, log_p, log_q, lo, hi)
+    logw *= 0.5
     return lo, np.exp(logw, out=logw)
 
 
@@ -364,12 +376,10 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
     from the parameters; vanishes exactly at the antipodal pair (1-p, phi+pi).
     The terms are s^N times a binomial row in r = sqrt(p p') / s, with
     s = sqrt(p p') + sqrt((1-p)(1-p')), so their moduli sum to s^N exactly.
-    Only the _support interval of that row is evaluated and summed. Its
-    floor is the higher of 2^-64 / (N+1), below which the row entries left
-    out add up to under 2^-64 and their terms cannot reach the last bit of
-    the sum, and the level at which a term underflows to 0 in np.exp:
-    O(sqrt(N r (1-r))) work, and O(1) when s^N underflows, as for an
-    antipode far from p = 1/2.
+    Only the _support interval of that row is evaluated and summed, with the
+    higher floor of 2^-64 / (N+1), below which the row entries left out cannot
+    reach the last bit of the sum, and the level where np.exp underflows:
+    O(sqrt(N r (1-r))) work, O(1) when s^N underflows (an antipode far from p = 1/2).
     """
     if a.N != b.N:
         raise ValueError(f"max photon numbers differ: {a.N} != {b.N}")
@@ -380,14 +390,12 @@ def gbs_overlap(a: GbsParams, b: GbsParams) -> complex:
         log_s = np.logaddexp(0.5 * lp, 0.5 * lq)
         floor = max(_EXP_FLOOR - N * log_s, _LOG_EPS_64 - math.log(N + 1.0))
         lo, hi = _support(N, 0.5 * lp - log_s, 0.5 * lq - log_s, floor)
-        if lo == hi:
-            return 0j
-        n = np.arange(lo, hi, dtype=float)
-        logmod = _log_binomial_row(N, lo, hi)
-        # guard 0 * (-inf) at the edges: the n = 0 / n = N factors are exactly 1
-        logmod += np.where(n > 0, 0.5 * n * lp, 0.0)
-        logmod += np.where(n < N, 0.5 * (N - n) * lq, 0.0)
-    mods = np.exp(logmod, out=logmod)
+    if lo == hi:
+        return 0j
+    # the pole p p' = 0 or q q' = 0: the window is the one entry n = 0 or n = N,
+    # where the -inf log has the power 0, so it counts as 0
+    half_lp, half_lq = (0.0 if x == -math.inf else 0.5 * x for x in (lp, lq))
+    mods = np.exp(_log_row(N, half_lp, half_lq, lo, hi))
     terms = _phased(mods, b.phi - a.phi, lo, np.empty(hi - lo, dtype=np.complex128))
     return complex(np.add.reduce(terms))
 

@@ -39,6 +39,7 @@ from .gbs import (
     GbsParams,
     _check_photon_number,
     _log_binomial_row,
+    _log_row,
     _phase_ramp,
     binomial_amplitudes,
     gbs_state,
@@ -89,7 +90,7 @@ class SphereQuadrature:
 
     @property
     def p_values(self) -> np.ndarray:
-        return np.cos(self.theta_nodes[:, 0] / 2.0) ** 2
+        return np.array([math.cos(t / 2.0) ** 2 for t in self.theta_nodes[:, 0]])
 
     @property
     def phi_values(self) -> np.ndarray:
@@ -109,12 +110,12 @@ def _resolution_bands(N: int, quad: SphereQuadrature) -> list[tuple[int, np.ndar
     for d = 0, M, 2M, ... <= N, M = quad.phi_count; R is symmetric.
 
     R[n, n + d] = sum_k ((N+1) w_k / 2) m_k[n] m_k[n + d] over the polar rows
-    m_k = binomial_amplitudes(N, cos^2(theta_k/2)), all K from one log C(N, n)
-    row (_polar_rows).
+    m_k = binomial_amplitudes(N, p_k) at the quad.p_values p_k, all K from one
+    log C(N, n) row (_polar_rows).
     """
     _check_photon_number(N)
-    thetas, w = quad.theta_nodes[:, 0], quad.theta_nodes[:, 1]
-    rows = _polar_rows(N, [math.cos(t / 2.0) ** 2 for t in thetas])
+    w = quad.theta_nodes[:, 1]
+    rows = _polar_rows(N, quad.p_values)
     weighted = rows * ((N + 1) * w / 2.0)[:, None]
     return [
         (d, np.einsum("kn,kn->n", weighted[:, : N + 1 - d], rows[:, d:]))
@@ -154,11 +155,10 @@ def _polar_rows(N: int, p_values: list[float]) -> np.ndarray:
     The exact p = 0, 1 rows come from binomial_amplitudes itself."""
     p = np.array(p_values, dtype=float)
     inner = (p > 0.0) & (p < 1.0)
-    n = np.arange(N + 1, dtype=float)
     log_p = np.array([math.log(x) for x in p[inner]])[:, None]
     log_q = np.array([math.log1p(-x) for x in p[inner]])[:, None]
     rows = np.empty((p.size, N + 1))
-    rows[inner] = np.exp(0.5 * (_log_binomial_row(N) + n * log_p + (N - n) * log_q))
+    rows[inner] = np.exp(0.5 * _log_row(N, log_p, log_q))
     for k in np.flatnonzero(~inner):
         rows[k] = binomial_amplitudes(N, p[k])
     return rows

@@ -8,10 +8,12 @@ below vacuum. For |N,p,phi> both indexes have closed forms,
     S_X = -2Np - A(N,p) cos(2 phi) + B(N,p)^2 cos^2(phi)
     S_P = -2Np + A(N,p) cos(2 phi) + B(N,p)^2 sin^2(phi)
 
-with A and B binomial cross sums, both over the one row
-t_n = sqrt(C(N,n) C(N-1,n)) p^n (1-p)^(N-1-n), n = 0..N-1:
-B = 2 sqrt(N p (1-p)) sum t_n and A = 2 sqrt(N) p sum t_n sqrt(N-1-n), the
-paper's sum over C(N,n) C(N-2,n) by C(N-2,n) = C(N-1,n) (N-1-n)/(N-1).
+with A and B the paper's binomial cross sums. By
+sqrt(C(N,n) C(N-1,n)) = C(N-1,n) sqrt(N/(N-n)) and C(N-2,n) =
+C(N-1,n) (N-1-n)/(N-1), both are moments over n ~ Bin(N-1, p):
+
+    A = 2 N p E[sqrt((N-1-n)/(N-n))],    B = 2 sqrt(N p (1-p)) E[sqrt(N/(N-n))].
+
 This module evaluates them and cross-checks against direct operator
 expectation values.
 """
@@ -26,13 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .gbs import (
-    _EXP_FLOOR,
     _LOG_EPS_64,
     GbsParams,
     _check_angle,
     _check_photon_number,
     _check_probability,
     _log_binomial_row,
+    _log_row,
     _support,
     gbs_state,
 )
@@ -106,68 +108,49 @@ def direct_stats(psi: StateVector) -> QuadratureStats:
 
 
 class _CrossRow(NamedTuple):
-    """The p-independent rows of the cross sums on an index window: half_logc
-    is 0.5 log(C(N,n) C(N-1,n)), n the index, rest N-1-n, root_rest its root."""
+    """The p-independent rows of the moments on an index window: log C(N-1, n), and
+    the weights a_weight = sqrt((N-1-n)/(N-n)) of A and b_weight = sqrt(N/(N-n)) of B."""
 
-    half_logc: np.ndarray
-    n: np.ndarray
-    rest: np.ndarray
-    root_rest: np.ndarray
+    logc: np.ndarray
+    a_weight: np.ndarray
+    b_weight: np.ndarray
 
 
 def _cross_row(N: int, lo: int = 0, hi: int | None = None) -> _CrossRow:
     """The _CrossRow of n = lo..hi - 1 (default the whole row n = 0..N-1), for
     N >= 1; a scan builds the whole row once for all p."""
-    if hi is None:
-        hi = N
-    n = np.arange(lo, hi, dtype=float)
-    rest = (N - 1) - n
-    half_logc = 0.5 * (_log_binomial_row(N, lo, hi) + _log_binomial_row(N - 1, lo, hi))
-    return _CrossRow(half_logc, n, rest, np.sqrt(rest))
+    m = N - np.arange(lo, N if hi is None else hi, dtype=float)  # N - n
+    return _CrossRow(_log_binomial_row(N - 1, lo, hi), np.sqrt((m - 1.0) / m), np.sqrt(N / m))
 
 
-def _cross_sums(N: int, p: float, row: _CrossRow | None) -> tuple[float, float]:
-    """(sum_n t_n, sum_n t_n sqrt(N-1-n)) for N >= 1 and 0 < p < 1, with
-    t_n = sqrt(C(N,n) C(N-1,n)) p^n (1-p)^(N-1-n), n = 0..N-1.
-
-    By C(N-1,n) <= C(N,n) <= N C(N-1,n), t_n lies between the binomial row
-    b_n = C(N-1,n) p^n (1-p)^(N-1-n) and sqrt(N) b_n. So sum t_n >= 1 and, as
-    (N-1-n)/(N-n) >= 1/2 for n <= N-2, sum t_n sqrt(N-1-n) >= (1-p) sqrt(N/2)
-    for N >= 2. Both sums run over the one _support window of b_n outside
-    which b_n < 2^-64 (1-p) / (sqrt(2) N^1.5): each term left out of either
-    sum is below 2^-64 of it over the N terms, so together they cannot reach
-    its last bit. The floor never drops below the level where sqrt(N) b_n
-    underflows in np.exp. The window is exp(half_logc + (n log p + (N-1-n)
-    log(1-p))), summed in numpy's pairwise order, then scaled by sqrt(N-1-n)
-    in place and summed again. A scan passes the whole _cross_row(N);
-    without it, the rows are built on the window alone.
-    """
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_n = math.log(N)
+def _moment_sums(N: int, p: float, row: _CrossRow | None) -> tuple[float, float, float]:
+    """(sum b_n, sum b_n a_weight_n, sum b_n b_weight_n) over one _support window of
+    the row b_n of Bin(N-1, p), for N >= 1 and 0 < p < 1; a scan passes the whole
+    _cross_row(N), otherwise the rows are built on the window alone. Outside it
+    b_n < 2^-64 (1-p) / (sqrt(2) N^1.5); as sum b_n = 1, 1 <= b_weight_n <= sqrt(N)
+    and sum b_n a_weight_n >= (1-p) / sqrt(2), each term left out of a sum is below
+    2^-64 of it over the N terms: together they cannot reach its last bit."""
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.log(N)
     floor = _LOG_EPS_64 + log_q - 0.5 * math.log(2.0) - 1.5 * log_n
-    lo, hi = _support(N - 1, log_p, log_q, max(floor, _EXP_FLOOR - 0.5 * log_n))
-    half_logc, n, rest, root_rest = (
-        _cross_row(N, lo, hi) if row is None else (r[lo:hi] for r in row)
-    )
-    window = n * log_p
-    window += rest * log_q
-    window += half_logc  # IEEE addition commutes: the bytes of half_logc + window
-    np.exp(window, out=window)
-    b_sum = float(np.add.reduce(window))  # np.sum's reduction, without its wrapper
-    window *= root_rest
-    return b_sum, float(np.add.reduce(window))
+    lo, hi = _support(N - 1, log_p, log_q, floor)
+    logc, a_weight, b_weight = _cross_row(N, lo, hi) if row is None else (r[lo:hi] for r in row)
+    b = np.exp(_log_row(N - 1, log_p, log_q, lo, hi, logc))
+    # np.sum's reduction and np.dot: neither one's bytes depend on where a window starts
+    return np.add.reduce(b), np.dot(b, a_weight), np.dot(b, b_weight)
 
 
 def _squeezing_terms(N: int, p: float, row: _CrossRow | None) -> SqueezingTerms:
-    """A(N,p) = 2 sqrt(N) p sum t_n sqrt(N-1-n) and B(N,p) = 2 sqrt(N p q) sum t_n,
-    from _cross_sums on the whole _cross_row(N) when given."""
+    """A(N,p) = 2 N p E[sqrt((N-1-n)/(N-n))] and B(N,p) = 2 sqrt(N p q) E[sqrt(N/(N-n))],
+    each E the ratio of two _moment_sums, on the whole _cross_row(N) when given.
+    Dividing by the window's own sum cancels any rounding common to the row."""
     _check_photon_number(N)
     _check_probability(p)
     if p in (0.0, 1.0) or N == 0:
         return SqueezingTerms(0.0, 0.0)
-    b_sum, a_sum = _cross_sums(N, p, row)
+    total, a_sum, b_sum = _moment_sums(N, p, row)
     return SqueezingTerms(
-        2.0 * math.sqrt(N) * p * a_sum, 2.0 * math.sqrt(N * p * (1.0 - p)) * b_sum
+        2.0 * N * p * float(a_sum / total),
+        2.0 * math.sqrt(N * p * (1.0 - p)) * float(b_sum / total),
     )
 
 
@@ -194,10 +177,11 @@ def _indexes_from_terms(N: int, p, a, b2, cos2, cos_sq, sin_sq):
 def closed_form_indexes(N: int, p: float, phi: float) -> tuple[float, float]:
     """Closed-form squeezing indexes (S_X, S_P) of |N, p, phi>.
 
-    Costs O(sqrt(N p (1-p))) exps and adds: both binomial cross sums are
-    evaluated on one window, which _support finds in a few Newton steps,
-    outside which every term lies below 2^-64 of its sum over the count of
-    terms (see _cross_sums): the terms left out cannot reach the last bit.
+    Costs O(sqrt(N p (1-p))) exps and adds: both moments of A and B are
+    evaluated on one window of Bin(N-1, p), which _support finds in a few
+    Newton steps, outside which every term lies below 2^-64 of its sum over
+    the count of terms (see _moment_sums): the terms left out cannot reach the
+    last bit.
     """
     terms = squeezing_terms(N, p)
     return _indexes_from_terms(N, p, terms.A_term, terms.B_term ** 2, *_angle_factors(phi))

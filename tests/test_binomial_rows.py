@@ -179,39 +179,39 @@ def ref_gbs_overlap(a, b, interval):
     return complex(np.sum(terms[lo:hi]))
 
 
-def full_cross_terms(N, p):
-    """The whole rows t_n = sqrt(C(N,n) C(N-1,n)) p^n (1-p)^(N-1-n) and
-    t_n sqrt(N-1-n), n = 0..N-1, of the two cross sums."""
+def full_moment_terms(N, p):
+    """The whole rows b_n, b_n sqrt((N-1-n)/(N-n)) and b_n sqrt(N/(N-n)),
+    n = 0..N-1, with b_n the binomial row of (N-1, p): the terms of the three
+    sums behind the moments of A and B."""
     n = np.arange(N, dtype=float)
-    logs = 0.5 * (_log_binomial_row(N)[:N] + _log_binomial_row(N - 1))
-    terms = np.exp(n * math.log(p) + (N - 1 - n) * math.log1p(-p) + logs)
-    return terms, terms * np.sqrt(N - 1 - n)
+    logs = ref_logc(N - 1) + n * math.log(p) + (N - 1 - n) * math.log1p(-p)
+    b = np.exp(logs)
+    return b, b * np.sqrt((N - 1 - n) / (N - n)), b * np.sqrt(N / (N - n))
 
 
-def ref_cross_sums(N, p, interval):
-    """The whole rows of the cross sums, each summed over interval alone: every
+def ref_moment_sums(N, p, interval):
+    """The whole rows of the moment sums, each summed over interval alone: every
     term outside it is below the floor of assert_below_floor_outside."""
     n = np.arange(N, dtype=float)
-    logs = 0.5 * np.array([log_binomial(N, k) + log_binomial(N - 1, k) for k in range(N)])
-    logs += n * math.log(p) + (N - 1 - n) * math.log1p(-p)
-    terms = np.exp(logs)
-    rooted = terms * np.sqrt(N - 1 - n)
-    lo, hi = interval
-    for row in (terms, rooted):
+    b, _, _ = rows = full_moment_terms(N, p)
+    for row in rows:
         assert_below_floor_outside(row, interval)
-    return float(np.sum(terms[lo:hi])), float(np.sum(rooted[lo:hi]))
+    lo, hi = interval
+    window = b[lo:hi]
+    a_weight, b_weight = (np.sqrt(x / (N - n))[lo:hi] for x in (N - 1 - n, N))
+    return np.sum(window), np.dot(window, a_weight), np.dot(window, b_weight)
 
 
 def ref_squeezing_terms(N, p, intervals):
-    """A = 2 sqrt(N) p sum t_n sqrt(N-1-n) and B = 2 sqrt(N p q) sum t_n, both
-    over the one interval that squeezing_terms(N, p) recorded."""
+    """A = 2 N p E[sqrt((N-1-n)/(N-n))] and B = 2 sqrt(N p q) E[sqrt(N/(N-n))],
+    n ~ Bin(N-1, p), each E over the one interval that squeezing_terms(N, p) recorded."""
     if p in (0.0, 1.0) or N == 0:
         assert intervals == []
         return SqueezingTerms(0.0, 0.0)
     (interval,) = intervals
-    b_sum, a_sum = ref_cross_sums(N, p, interval)
-    a = 2.0 * math.sqrt(N) * p * a_sum
-    return SqueezingTerms(a, 2.0 * math.sqrt(N * p * (1.0 - p)) * b_sum)
+    total, a_sum, b_sum = ref_moment_sums(N, p, interval)
+    a = 2.0 * N * p * float(a_sum / total)
+    return SqueezingTerms(a, 2.0 * math.sqrt(N * p * (1.0 - p)) * float(b_sum / total))
 
 
 def recorded_squeezing_terms(N, p):
@@ -285,8 +285,11 @@ def test_gbs_overlap_bit_equal(N, p, monkeypatch):
 def test_squeezing_terms_and_indexes_bit_equal(N, p):
     terms, want = recorded_squeezing_terms(N, p)
     assert terms == want
-    for phi in (0.0, 0.4, math.pi / 2, 3.0):
+    phis = (0.0, 0.4, math.pi / 2, 3.0)
+    for phi in phis:
         assert closed_form_indexes(N, p, phi) == ref_closed_form_indexes(N, p, phi, want)
+    if 0.0 < p < 1.0 and N > 0:
+        assert_squeezing_near_mpmath(N, p, phis)
 
 
 @pytest.mark.parametrize("N", (0, 1, 2, 5, 200, 10**4, 10**5))
@@ -630,7 +633,7 @@ def test_rows_vanish_outside_their_support(N, p, p2):
         squeezing_terms(N, p)
         if 0.0 < p < 1.0 and N > 0:
             (interval,) = recorded.intervals
-            for row in full_cross_terms(N, p):
+            for row in full_moment_terms(N, p):
                 assert_below_floor_outside(row, interval)
 
 
@@ -771,24 +774,28 @@ def test_window_sums_equal_the_whole_row_sums(N, p, p2, phi):
             terms = full_overlap_moduli(a, b) * whole_ramp(b.phi - a.phi, N + 1)
             assert_window_sum(got, terms, recorded.pop())
         if 0.0 < p < 1.0 and N > 0:
-            # the sums behind B = 2 sqrt(N p q) b_sum and A = 2 sqrt(N) p a_sum
-            b_sum, a_sum = squeezing._cross_sums(N, p, None)
+            # the sums behind A = 2 N p a_sum / total and B = 2 sqrt(N p q) b_sum / total
+            sums = squeezing._moment_sums(N, p, None)
             interval = recorded.pop()
-            b_row, a_row = full_cross_terms(N, p)
-            assert_window_sum(b_sum, b_row, interval)
-            assert_window_sum(a_sum, a_row, interval)
+            for got, row in zip(sums, full_moment_terms(N, p)):
+                assert_window_sum(got, row, interval)
 
 
 def mp_squeezing_terms(N, p):
     """A and B at 40 digits in the paper's form: the cross sums of C(N,n) with
-    C(N-1,n) and with C(N-2,n), by exact binomial recurrences."""
+    C(N-1,n) and with C(N-2,n), by exact binomial recurrences. Each sum runs
+    over Np -+ (14 sigma + 14), sigma = sqrt(N p q), where the terms left out
+    are below 1e-30 of it (1.7e-35 at N = 300, p = 0.013)."""
+    half = 14.0 * math.sqrt(N * p * (1.0 - p)) + 14.0
+    lo, hi = max(0, math.floor(N * p - half)), math.ceil(N * p + half)
     with mpmath.workdps(40):
         p = mpmath.mpf(p)
         q = 1 - p
 
         def cross_sum(M):
-            total, c_n, c_m = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
-            for n in range(M + 1):
+            total, first = mpmath.mpf(0), min(lo, max(M, 0))
+            c_n, c_m = mpmath.binomial(N, first), mpmath.binomial(M, first)
+            for n in range(first, min(hi, M) + 1):
                 total += mpmath.sqrt(c_n * c_m) * p**n * q ** (M - n)
                 c_n, c_m = c_n * (N - n) / (n + 1), c_m * (M - n) / (n + 1)
             return total
@@ -798,16 +805,44 @@ def mp_squeezing_terms(N, p):
         return a, b
 
 
+def mp_closed_form_indexes(N, p, phi, terms):
+    """(S_X, S_P) at 40 digits from the mp_squeezing_terms (A, B)."""
+    a, b = terms
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        cos2, cos_sq, sin_sq = mpmath.cos(2 * phi), mpmath.cos(phi) ** 2, mpmath.sin(phi) ** 2
+        return -2 * N * p - a * cos2 + b**2 * cos_sq, -2 * N * p + a * cos2 + b**2 * sin_sq
+
+
+def assert_squeezing_near_mpmath(N, p, phis):
+    """A and B within 16 N eps relative of mpmath, and S_X, S_P within 8 eps N^1.5
+    at each phi: the moments cancel the rounding common to the lgamma row, and
+    what is left, multiplied by B^2 ~ 4 N p, grows about as N^1.5."""
+    eps = np.finfo(float).eps
+    terms = squeezing_terms(N, p)
+    a, b = ref = mp_squeezing_terms(N, p)
+    assert abs(terms.A_term - a) <= 16.0 * N * eps * a
+    assert abs(terms.B_term - b) <= 16.0 * N * eps * b
+    for phi in phis:
+        s_x, s_p = mp_closed_form_indexes(N, p, phi, ref)
+        got_x, got_p = closed_form_indexes(N, p, phi)
+        assert max(abs(got_x - s_x), abs(got_p - s_p)) <= 8.0 * eps * N**1.5, phi
+
+
 @pytest.mark.parametrize("N", (2, 3, 50, 1000, 4000))
 @pytest.mark.parametrize("p", (1e-9, 0.013, 0.37, 0.5, 0.77, 1.0 - 1e-9))
 def test_squeezing_terms_against_mpmath(N, p):
-    # the lgamma differences of the rows lose about N eps; the one-row form
-    # measured 1.4e-12 at N = 1000 and 2.0e-12 at N = 4000
-    terms = squeezing_terms(N, p)
-    a, b = mp_squeezing_terms(N, p)
-    bound = 16.0 * N * np.finfo(float).eps
-    assert abs(terms.A_term - a) <= bound * a
-    assert abs(terms.B_term - b) <= bound * b
+    # the one-row lgamma form measured 1.4e-12 relative at N = 1000 and 2.0e-12
+    # at N = 4000; its S_X was off by 1.4e-9 at N = 1000, the moments by 1.7e-12
+    assert_squeezing_near_mpmath(N, p, (0.0, 0.4, math.pi / 2, 3.0))
+
+
+@pytest.mark.parametrize("N", (10**3, 10**4, 10**5))
+@pytest.mark.parametrize("p, phi", ((0.37, 1.2), (0.5, 0.3), (0.83, 2.0), (0.12, 0.7)))
+def test_closed_form_indexes_against_mpmath_at_large_n(N, p, phi):
+    # the bound 8 eps N^1.5 is 5.6e-11, 1.8e-9 and 5.6e-8; the half-sum of two
+    # lgamma rows before the moments was off by 1.4e-9, 2.9e-7 and 2.4e-5
+    assert_squeezing_near_mpmath(N, p, (phi,))
 
 
 # --- the windows stay narrow ----------------------------------------------

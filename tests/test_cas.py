@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -197,6 +198,41 @@ class TestOverlapLaw:
         a = BlochAngles(0.0, 0.0)
         b = BlochAngles(math.pi / 2, 0.0)
         assert cas_overlap_modulus_sq(0.5, a, b) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("two_j", (10**5, 10**6))
+    def test_law_against_mpmath_for_nearby_pairs_at_large_j(self, two_j):
+        # (1 + cos Theta)/2 raised to the power 2J was off by 5.3e-12 and 6.6e-11 here
+        rng = np.random.default_rng(two_j)
+        step = 1.0 / math.sqrt(two_j)
+        worst = 0.0
+        for _ in range(20):
+            theta, varphi = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, TWO_PI)
+            a = BlochAngles(theta, varphi)
+            shift = step * rng.normal(), step * rng.normal() / math.sin(theta)
+            b = BlochAngles(theta + shift[0], varphi + shift[1])
+            with mpmath.workdps(50):
+                ta, va, tb, vb = (mpmath.mpf(x) for x in (a.theta, a.varphi, b.theta, b.varphi))
+                cos_big = mpmath.cos(ta) * mpmath.cos(tb)
+                cos_big += mpmath.sin(ta) * mpmath.sin(tb) * mpmath.cos(va - vb)
+                want = ((1 + cos_big) / 2) ** two_j
+            worst = max(worst, abs(cas_overlap_modulus_sq(two_j / 2, a, b) - float(want)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("two_j", (1, 2, 7, 10**6))
+    def test_law_at_the_same_point_and_at_antipodes(self, two_j):
+        rng = np.random.default_rng(two_j)
+        for _ in range(20):
+            a = random_angles(rng)
+            anti = BlochAngles(math.pi - a.theta, a.varphi + math.pi)
+            assert cas_overlap_modulus_sq(two_j / 2, a, a) == 1.0
+            tiny = (4.0 * np.finfo(float).eps) ** two_j
+            assert cas_overlap_modulus_sq(two_j / 2, a, anti) <= tiny
+
+    def test_law_is_one_at_zero_spin(self):
+        rng = np.random.default_rng(0)
+        a = random_angles(rng)
+        for b in (a, random_angles(rng), BlochAngles(math.pi - a.theta, a.varphi + math.pi)):
+            assert cas_overlap_modulus_sq(0, a, b) == 1.0
 
     def test_law_matches_direct_inner_products(self):
         rng = np.random.default_rng(55)

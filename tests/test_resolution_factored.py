@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbstates import resolution
 from gbstates.cas import cas_expansion_check, cas_identity_resolution
 from gbstates.gbs import binomial_amplitudes
 from gbstates.hilbert import StateVector
@@ -123,6 +124,27 @@ def test_polar_rows_bit_equal_at_the_poles_and_edges(N):
     p_values = [0.0, 5e-324, 1e-9, 0.37, 1.0 - 2.0**-53, 1.0, 0.5]
     ref = np.array([binomial_amplitudes(N, p) for p in p_values])
     assert np.array_equal(_polar_rows(N, p_values), ref)
+
+
+@pytest.mark.parametrize("N", range(0, 600, 7))
+def test_quadrature_rows_are_the_binomial_amplitudes_of_the_node_probabilities(N, monkeypatch):
+    # identity_resolution reads each node's p from quad.p_values, the one formula,
+    # which keeps the math.cos bytes that the kernel took before
+    quad = SphereQuadrature.default_for(N)
+    assert quad.p_values.tolist() == [math.cos(t / 2.0) ** 2 for t in quad.theta_nodes[:, 0]]
+    seen = []
+    real = resolution._polar_rows
+
+    def spy(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(resolution, "_polar_rows", spy)
+    identity_resolution(N, quad)
+    (((n, p_values), rows),) = seen
+    assert n == N and p_values.tobytes() == quad.p_values.tobytes()
+    for p, row in zip(p_values, rows):
+        assert row.tobytes() == binomial_amplitudes(N, p).tobytes()
 
 
 def test_negative_photon_number_rejected():
