@@ -110,14 +110,13 @@ def _log_binomial_row(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     return lg[n] - lg[lo:hi] - lg[n - hi + 1 : n - lo + 1][::-1]
 
 
-def _log_row(N: int, log_r, log_q, lo: int = 0, hi: int | None = None, logc=None) -> np.ndarray:
+def _log_row(N: int, log_r, log_q, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """log C(N,n) + n log_r + (N-n) log_q for n = lo..hi - 1 (default the whole row),
     the one place that forms a binomial row; log_r and log_q are scalars, or (K, 1)
-    columns for K rows at once. logc, when given, is log C(N, n) on [lo, hi),
-    sliced from a row built once."""
+    columns for K rows at once."""
     n = np.arange(lo, N + 1 if hi is None else hi, dtype=float)
     out = n * log_r
-    out += _log_binomial_row(N, lo, hi) if logc is None else logc  # bytes of logc + n log_r
+    out += _log_binomial_row(N, lo, hi)  # IEEE addition commutes: the bytes of logC + n log_r
     out += (N - n) * log_q
     return out
 

@@ -33,7 +33,6 @@ from .gbs import (
     _check_angle,
     _check_photon_number,
     _check_probability,
-    _log_binomial_row,
     _log_row,
     _support,
     gbs_state,
@@ -107,47 +106,46 @@ def direct_stats(psi: StateVector) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, 1.0 - var_x, 1.0 - var_p)
 
 
-class _CrossRow(NamedTuple):
-    """The p-independent rows of the moments on an index window: log C(N-1, n), and
-    the weights a_weight = sqrt((N-1-n)/(N-n)) of A and b_weight = sqrt(N/(N-n)) of B."""
-
-    logc: np.ndarray
-    a_weight: np.ndarray
-    b_weight: np.ndarray
-
-
-def _cross_row(N: int, lo: int = 0, hi: int | None = None) -> _CrossRow:
-    """The _CrossRow of n = lo..hi - 1 (default the whole row n = 0..N-1), for
-    N >= 1; a scan builds the whole row once for all p."""
+def _moment_weights(N: int, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The p-independent weights sqrt((N-1-n)/(N-n)) of A and sqrt(N/(N-n)) of B for
+    n = lo..hi - 1 (default the whole row n = 0..N-1), N >= 1. Both are elementwise,
+    so a slice of the whole row has the bytes of the row built on the slice alone."""
     m = N - np.arange(lo, N if hi is None else hi, dtype=float)  # N - n
-    return _CrossRow(_log_binomial_row(N - 1, lo, hi), np.sqrt((m - 1.0) / m), np.sqrt(N / m))
+    return np.sqrt((m - 1.0) / m), np.sqrt(N / m)
 
 
-def _moment_sums(N: int, p: float, row: _CrossRow | None) -> tuple[float, float, float]:
-    """(sum b_n, sum b_n a_weight_n, sum b_n b_weight_n) over one _support window of
-    the row b_n of Bin(N-1, p), for N >= 1 and 0 < p < 1; a scan passes the whole
-    _cross_row(N), otherwise the rows are built on the window alone. Outside it
-    b_n < 2^-64 (1-p) / (sqrt(2) N^1.5); as sum b_n = 1, 1 <= b_weight_n <= sqrt(N)
-    and sum b_n a_weight_n >= (1-p) / sqrt(2), each term left out of a sum is below
-    2^-64 of it over the N terms: together they cannot reach its last bit."""
+def _moment_sums(N: int, p: float, weights=None) -> tuple[float, float, float]:
+    """(sum b_n, sum b_n sqrt((N-1-n)/(N-n)), sum b_n sqrt(N/(N-n))) over one _support
+    window of the row b_n of Bin(N-1, p), for N >= 1 and 0 < p < 1. A scan passes the
+    whole _moment_weights(N) and each p slices its window from them; a single call
+    builds them on the window alone. Outside the window
+    b_n < 2^-64 (1-p) / (sqrt(2) N^1.5); as sum b_n = 1, 1 <= sqrt(N/(N-n)) <= sqrt(N)
+    and sum b_n sqrt((N-1-n)/(N-n)) >= (1-p) / sqrt(2), each term left out of a sum
+    is below 2^-64 of it over the N terms: together they cannot reach its last bit.
+    Each sum is numpy's pairwise np.add.reduce, whose bytes depend neither on where
+    the window starts in memory nor on a BLAS build or its threads."""
     log_p, log_q, log_n = math.log(p), math.log1p(-p), math.log(N)
     floor = _LOG_EPS_64 + log_q - 0.5 * math.log(2.0) - 1.5 * log_n
     lo, hi = _support(N - 1, log_p, log_q, floor)
-    logc, a_weight, b_weight = _cross_row(N, lo, hi) if row is None else (r[lo:hi] for r in row)
-    b = np.exp(_log_row(N - 1, log_p, log_q, lo, hi, logc))
-    # np.sum's reduction and np.dot: neither one's bytes depend on where a window starts
-    return np.add.reduce(b), np.dot(b, a_weight), np.dot(b, b_weight)
+    a_weight, b_weight = (
+        _moment_weights(N, lo, hi) if weights is None else (w[lo:hi] for w in weights)
+    )
+    b = np.exp(_log_row(N - 1, log_p, log_q, lo, hi))
+    terms = np.multiply(b, a_weight)
+    a_sum = np.add.reduce(terms)
+    b_sum = np.add.reduce(np.multiply(b, b_weight, out=terms))
+    return np.add.reduce(b), a_sum, b_sum
 
 
-def _squeezing_terms(N: int, p: float, row: _CrossRow | None) -> SqueezingTerms:
+def _squeezing_terms(N: int, p: float, weights=None) -> SqueezingTerms:
     """A(N,p) = 2 N p E[sqrt((N-1-n)/(N-n))] and B(N,p) = 2 sqrt(N p q) E[sqrt(N/(N-n))],
-    each E the ratio of two _moment_sums, on the whole _cross_row(N) when given.
+    each E the ratio of two _moment_sums, on the whole _moment_weights(N) when given.
     Dividing by the window's own sum cancels any rounding common to the row."""
     _check_photon_number(N)
     _check_probability(p)
     if p in (0.0, 1.0) or N == 0:
         return SqueezingTerms(0.0, 0.0)
-    total, a_sum, b_sum = _moment_sums(N, p, row)
+    total, a_sum, b_sum = _moment_sums(N, p, weights)
     return SqueezingTerms(
         2.0 * N * p * float(a_sum / total),
         2.0 * math.sqrt(N * p * (1.0 - p)) * float(b_sum / total),
@@ -156,7 +154,7 @@ def _squeezing_terms(N: int, p: float, row: _CrossRow | None) -> SqueezingTerms:
 
 def squeezing_terms(N: int, p: float) -> SqueezingTerms:
     """Closed-form A(N,p) and B(N,p)."""
-    return _squeezing_terms(N, p, None)
+    return _squeezing_terms(N, p)
 
 
 def _angle_factors(phi):
@@ -215,10 +213,10 @@ def squeeze_scan(
         return rows
     _check_photon_number(N)
     cos2, cos_sq, sin_sq = np.array([_angle_factors(phi) for phi in phi_grid]).T
-    row = _cross_row(N) if N else None
+    weights = _moment_weights(N) if N else None  # built once, sliced per p
     a, b2 = [], []
     for p in p_grid:
-        terms = _squeezing_terms(N, p, row)
+        terms = _squeezing_terms(N, p, weights)
         a.append(terms.A_term)
         b2.append(terms.B_term ** 2)
     p_col, a, b2 = (np.array(v)[:, None] for v in (p_grid, a, b2))

@@ -199,7 +199,7 @@ def ref_moment_sums(N, p, interval):
     lo, hi = interval
     window = b[lo:hi]
     a_weight, b_weight = (np.sqrt(x / (N - n))[lo:hi] for x in (N - 1 - n, N))
-    return np.sum(window), np.dot(window, a_weight), np.dot(window, b_weight)
+    return np.sum(window), np.sum(window * a_weight), np.sum(window * b_weight)
 
 
 def ref_squeezing_terms(N, p, intervals):
@@ -360,10 +360,10 @@ def test_scan_builds_its_binomial_rows_once(monkeypatch):
     from gbstates import squeezing
 
     calls = []
-    real = squeezing._cross_row
-    monkeypatch.setattr(squeezing, "_cross_row", lambda *a: calls.append(a) or real(*a))
+    real = squeezing._moment_weights
+    monkeypatch.setattr(squeezing, "_moment_weights", lambda *a: calls.append(a) or real(*a))
     squeeze_scan(50, np.linspace(0.0, 1.0, 7), [0.0, 1.0])
-    assert calls == [(50,)]
+    assert calls == [(50,)]  # the p-independent weight rows, once for the whole grid
 
 
 def test_scan_rejects_probability_outside_unit_interval():
