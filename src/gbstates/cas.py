@@ -130,4 +130,4 @@ def cas_expansion_check(J, psi: StateVector, quad: SphereQuadrature) -> StateVec
     if psi.dim != two_j + 1:
         raise ValueError(f"state dimension {psi.dim} must equal 2J+1 = {two_j + 1}")
     _warn_if_under_resolved(two_j, quad)
-    return StateVector(_apply_resolution(two_j, quad, psi.amp))
+    return StateVector._adopt(_apply_resolution(two_j, quad, psi.amp))

@@ -141,7 +141,7 @@ def cmd_expand(args) -> int:
     # a warning (the under-resolved grid) is one plain stderr line, without
     # the file and source line of Python's default display
     with warnings.catch_warnings(record=True) as caught:
-        amplitudes = _amplitude_list(reconstruct(StateVector(amp), n, quad).amp)
+        amplitudes = _amplitude_list(reconstruct(StateVector._adopt(amp), n, quad).amp)
     for warning in caught:
         print(f"gbstates expand: warning: {warning.message}", file=sys.stderr)
     _write(args, {"N": n, "amplitudes": amplitudes}, "n,re,im", _amplitude_rows(amplitudes))

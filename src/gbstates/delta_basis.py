@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbs import GbsParams, _phase_ramp
-from .hilbert import StateVector, _handed_over
+from .hilbert import StateVector
 from .hp_algebra import _ladder_eigenvectors
 
 
@@ -35,7 +35,7 @@ def _fix_phase(vecs: np.ndarray, ramp: np.ndarray) -> np.ndarray:
 
 
 def _ladder(prm: GbsParams, m: int | None = None) -> np.ndarray:
-    """Delta states m = 0..N, or the state m alone, as the rows of an array."""
+    """Delta states m = 0..N, or the state m alone, as the rows of a read-only array."""
     N, p = prm.N, prm.p
     rungs = np.arange(N + 1) if m is None else np.array([m])
     if N == 0 or p in (0.0, 1.0):
@@ -43,9 +43,11 @@ def _ladder(prm: GbsParams, m: int | None = None) -> np.ndarray:
         # reversed; at N = 0 the vacuum alone, which has no orthogonal partner
         rows = np.zeros((rungs.size, N + 1), dtype=np.complex128)
         rows[np.arange(rungs.size), rungs if p == 1.0 else N - rungs] = 1.0
-        return rows
-    vecs = _ladder_eigenvectors(N, p, 1.0 - p, m)
-    return _fix_phase(vecs, _phase_ramp(prm.phi, 0, np.empty(N + 1, dtype=np.complex128)))
+    else:
+        vecs = _ladder_eigenvectors(N, p, 1.0 - p, m)
+        rows = _fix_phase(vecs, _phase_ramp(prm.phi, 0, np.empty(N + 1, dtype=np.complex128)))
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
     """The full ladder from one eigensolve; phi is kept as given, bad input is a ValueError.
 
     Each state adopts its row of the one read-only matrix, uncopied."""
-    rows = _handed_over(_ladder(GbsParams(N, p, phi)))
-    return DeltaBasis(N, p, phi, tuple(map(StateVector, rows)))
+    rows = _ladder(GbsParams(N, p, phi))
+    return DeltaBasis(N, p, phi, tuple(map(StateVector._adopt, rows)))
 
 
 def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
@@ -71,4 +73,4 @@ def delta_state(N: int, m: int, p: float, phi: float) -> StateVector:
     prm = GbsParams(N, p, phi)
     if isinstance(m, (bool, np.bool_)) or not 0 <= m <= N or int(m) != m:
         raise ValueError(f"ladder index m={m} must be an integer in [0, {N}]")
-    return StateVector(_handed_over(_ladder(prm, int(m)))[0])
+    return StateVector._adopt(_ladder(prm, int(m))[0])

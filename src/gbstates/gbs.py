@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, _handed_over
+from .hilbert import StateVector
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,18 +46,6 @@ def circular_distance(a: float, b: float) -> float:
     """Shortest distance between two angles on the circle."""
     d = normalize_angle(a - b)
     return min(d, TWO_PI - d)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k) as a difference of log-gamma values.
-
-    Finite for every n; the cancellation between the terms costs about
-    n * eps of relative accuracy in C(n, k) (a 1.45e-10 overlap error at
-    n = 1e5, see benchmarks/README.md).
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial index k={k} outside [0, {n}]")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _check_photon_number(N) -> int:
@@ -99,10 +87,12 @@ def _lgamma_table(n: int) -> np.ndarray:
 
 def _log_binomial_row(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """log C(n, k) for k = lo..hi - 1 (default the whole row k = 0..n), entry
-    for entry bit-equal to log_binomial(n, k).
+    for entry bit-equal to oracles.log_binomial(n, k).
 
-    The row repeats log_binomial's two subtractions in the same order, on
-    the shared _lgamma_table.
+    The row repeats that reference's two subtractions, lgamma(n + 1) - lgamma(k + 1)
+    - lgamma(n - k + 1) in that order, on the shared _lgamma_table. Finite for
+    every n; the cancellation costs about n * eps of relative accuracy in
+    C(n, k) (a 1.45e-10 overlap error at n = 1e5, see benchmarks/README.md).
     """
     if hi is None:
         hi = n + 1
@@ -259,7 +249,7 @@ def _support_moduli(N: int, p: float) -> tuple[int, np.ndarray]:
     the _support interval outside which every modulus underflows to +0.0.
 
     Evaluated through log-gamma, so the result stays finite for every N;
-    the relative error grows like N * eps (see log_binomial). The p = 0
+    the relative error grows like N * eps (see _log_binomial_row). The p = 0
     and p = 1 limits are exact (0^0 treated as 1). O(sqrt(N p (1-p)))
     logs and exps.
     """
@@ -331,13 +321,12 @@ def _phased_state(dim: int, lo: int, mods: np.ndarray, phi: float) -> StateVecto
 
     The ramp, the product and the norm run on the mods.size entries alone, the
     norm and the scaling by its reciprocal on their real and imaginary parts.
-    The row is handed to the StateVector, not copied.
     """
     amp = np.zeros(dim, dtype=np.complex128)
     parts = _phased(mods, phi, lo, amp[lo : lo + mods.size]).view(float)
     parts *= 1.0 / np.linalg.norm(parts)
     parts += 0.0  # -0.0 + 0.0 is +0.0: an underflowed product keeps no sign
-    return StateVector(_handed_over(amp))
+    return StateVector._adopt(amp)
 
 
 def binomial_amplitudes(N: int, p: float) -> np.ndarray:

@@ -6,16 +6,9 @@ boundaries and freeze the underlying arrays, so every value is safe to
 share between threads after construction. The dense matrix exponential is
 a brute-force reference, in gbstates.oracles.
 
-Adoption: StateVector and OperatorMatrix keep, uncopied, an array that is
-complex128, read-only, owns its data and has their number of dimensions.
-Such an array is taken to be handed over: the constructors of this package
-build a row or matrix, set write=False on it and pass it on, which saves a
-copy of every state (1.6 MB at N = 1e5). A StateVector also keeps a whole,
-contiguous, read-only row of such a 2-d array, so that the N + 1 states of
-a ladder share the one matrix they were computed in. A caller who hands an
-array over must keep no writeable view of it. Any other input, a writeable
-array, another view, another dtype or a list, is copied, so mutating it
-later leaves the object unchanged.
+The public constructors copy what they are given. An array the package has
+just built is handed to StateVector._adopt or OperatorMatrix._adopt, which
+freeze it and keep it uncopied; its builder keeps no writeable view of it.
 """
 
 from __future__ import annotations
@@ -25,30 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _frozen_array(values, ndim: int) -> np.ndarray:
-    """values itself when it can be adopted (see the module docstring), else a
-    read-only complex128 copy; a ValueError unless it has ndim dimensions."""
-    if type(values) is np.ndarray and values.dtype == np.complex128 and values.ndim == ndim:
-        flags = values.flags
-        if not flags.writeable:
-            if flags.owndata:
-                return values
-            # a whole row of a handed-over matrix, which owns the data read-only
-            base = values.base
-            if ndim == 1 and flags.c_contiguous and type(base) is np.ndarray and base.ndim == 2:
-                owner = base.flags
-                if owner.owndata and not owner.writeable and values.size == base.shape[1]:
-                    return values
-    arr = np.array(values, dtype=np.complex128, copy=True)
+def _frozen(arr: np.ndarray, ndim: int) -> np.ndarray:
+    """arr made read-only, itself when complex128, else a complex128 copy; a ValueError
+    unless it is a state (ndim 1) or a square operator (ndim 2) of dimension >= 1."""
+    if arr.dtype != np.complex128:
+        arr = arr.astype(np.complex128)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def _handed_over(arr: np.ndarray) -> np.ndarray:
-    """arr made read-only, so that a StateVector or OperatorMatrix adopts it:
-    for an array its caller has just built and keeps no writeable view of."""
+    if ndim == 2 and arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"operator must be square, got shape {arr.shape}")
+    if arr.size < 1:
+        raise ValueError(f"{('state', 'operator')[ndim - 1]} dimension must be >= 1")
     arr.setflags(write=False)
     return arr
 
@@ -60,10 +40,14 @@ class StateVector:
     amp: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.amp, 1)
-        if arr.size < 1:
-            raise ValueError("state dimension must be >= 1")
-        object.__setattr__(self, "amp", arr)
+        object.__setattr__(self, "amp", _frozen(np.array(self.amp, dtype=np.complex128), 1))
+
+    @classmethod
+    def _adopt(cls, amp: np.ndarray) -> "StateVector":
+        """The state holding amp itself, made read-only and uncopied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amp", _frozen(amp, 1))
+        return state
 
     @property
     def dim(self) -> int:
@@ -79,7 +63,7 @@ class StateVector:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(_handed_over(self.amp / n))
+        return StateVector._adopt(self.amp / n)
 
 
 @dataclass(frozen=True)
@@ -89,35 +73,38 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("operator dimension must be >= 1")
-        object.__setattr__(self, "entries", arr)
+        entries = np.array(self.entries, dtype=np.complex128)
+        object.__setattr__(self, "entries", _frozen(entries, 2))
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "OperatorMatrix":
+        """The operator holding entries itself, made read-only and uncopied."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "entries", _frozen(entries, 2))
+        return op
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(_handed_over(self.entries + other.entries))
+        return OperatorMatrix._adopt(self.entries + other.entries)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(_handed_over(self.entries - other.entries))
+        return OperatorMatrix._adopt(self.entries - other.entries)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(_handed_over(-self.entries))
+        return OperatorMatrix._adopt(-self.entries)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(_handed_over(self.entries * scalar))
+        return OperatorMatrix._adopt(self.entries * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             _require_same_dim(self.dim, other.dim)
-            return OperatorMatrix(_handed_over(self.entries @ other.entries))
+            return OperatorMatrix._adopt(self.entries @ other.entries)
         if isinstance(other, StateVector):
             return apply(self, other)
         return NotImplemented
@@ -134,11 +121,11 @@ def basis_state(dim: int, n: int) -> StateVector:
         raise ValueError(f"basis index {n} outside [0, {dim})")
     amp = np.zeros(dim, dtype=np.complex128)
     amp[n] = 1.0
-    return StateVector(_handed_over(amp))
+    return StateVector._adopt(amp)
 
 
 def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(_handed_over(np.eye(dim, dtype=np.complex128)))
+    return OperatorMatrix._adopt(np.eye(dim, dtype=np.complex128))
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
@@ -150,14 +137,14 @@ def inner(u: StateVector, v: StateVector) -> complex:
 def apply(a: OperatorMatrix, v: StateVector) -> StateVector:
     """Matrix-vector product A|v>."""
     _require_same_dim(a.dim, v.dim)
-    return StateVector(_handed_over(a.entries @ v.amp))
+    return StateVector._adopt(a.entries @ v.amp)
 
 
 def adjoint(a: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(a.entries.conj().T)
+    return OperatorMatrix._adopt(a.entries.T.conj())  # conj keeps the F order of the .T view
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     _require_same_dim(a.dim, b.dim)
-    return OperatorMatrix(_handed_over(a.entries @ b.entries - b.entries @ a.entries))
+    return OperatorMatrix._adopt(a.entries @ b.entries - b.entries @ a.entries)
 

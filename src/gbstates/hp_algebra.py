@@ -33,7 +33,7 @@ import numpy as np
 
 from .gbs import BlochAngles, GbsParams, _check_photon_number, _check_probability
 from .gbs import _phase_ramp, normalize_angle, params_to_angles
-from .hilbert import OperatorMatrix, _handed_over, adjoint
+from .hilbert import OperatorMatrix, adjoint
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def _lift(N: int, p: float, q: float, phi: float, half_alpha: float = 0.0) -> Op
         col = _phase_ramp(phi, 0, np.empty(N + 1, dtype=np.complex128))
         out = (row * np.conj(col))[:, None] * v
         out *= _ladder_signs(v, _ladder_bands(N, p, q)[1]) * col
-    return OperatorMatrix(_handed_over(out))
+    return OperatorMatrix._adopt(out)
 
 
 def _ladder_signs(v: np.ndarray, m_bands: tuple) -> np.ndarray:
@@ -172,7 +172,7 @@ def _tridiagonal(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> Operator
     out = np.zeros((diag.size, diag.size), dtype=np.complex128)
     n = np.arange(diag.size)
     out[n, n], out[n[1:], n[:-1]], out[n[:-1], n[1:]] = diag, sub, sup
-    return OperatorMatrix(_handed_over(out))
+    return OperatorMatrix._adopt(out)
 
 
 def _ladder_bands(N: int, p: float, q: float) -> tuple[tuple, tuple]:

@@ -4,7 +4,8 @@ Each oracle reaches a result of the production modules by the slow, direct
 route: the dense matrix exponential of a rotation generator, the collective
 operators of N atoms on the full 2^N product space, the disentangled product
 of Arecchi et al. (1972) in extended precision, the dense truncated
-quadrature matrices, and the phases e^(i n phi) from an error-free product.
+quadrature matrices, the phases e^(i n phi) from an error-free product, and
+log C(n, k) one entry at a time.
 No production module imports this one, so its cost (O(N^3) exponentials,
 2^N-dimensional matrices, mpmath) never reaches a production path; scipy
 and mpmath are imported on first use only.
@@ -19,10 +20,18 @@ from functools import lru_cache
 import numpy as np
 
 from .cas import _check_half_integer
-from .gbs import BlochAngles, log_binomial
+from .gbs import BlochAngles
 from .hilbert import OperatorMatrix, StateVector
 
 MAX_TENSOR_ATOMS = 12
+
+
+def log_binomial(n: int, k: int) -> float:
+    """log C(n, k) as a difference of log-gamma values, one entry at a time: the
+    reference that gbs._log_binomial_row reproduces bit for bit."""
+    if not 0 <= k <= n:
+        raise ValueError(f"binomial index k={k} outside [0, {n}]")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _split(x):

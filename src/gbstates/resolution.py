@@ -44,7 +44,7 @@ from .gbs import (
     binomial_amplitudes,
     gbs_state,
 )
-from .hilbert import OperatorMatrix, StateVector, _handed_over, inner
+from .hilbert import OperatorMatrix, StateVector, inner
 
 
 def _default_node_counts(N: int) -> tuple[int, int]:
@@ -57,9 +57,10 @@ def _default_node_counts(N: int) -> tuple[int, int]:
 class SphereQuadrature:
     """Product quadrature over the Bloch sphere.
 
-    theta_nodes holds rows (theta_k, w_k) where the w_k are Gauss-Legendre
-    weights in u = cos(theta) on [-1, 1] (so they sum to 2); the azimuthal
-    average uses phi_count uniform nodes phi_j = 2 pi j / phi_count.
+    theta_nodes holds rows (theta_k, w_k), each theta_k in [0, pi] and the w_k
+    Gauss-Legendre weights in u = cos(theta) on [-1, 1] (so they sum to 2); the
+    azimuthal average uses phi_count (an integer >= 1) uniform nodes
+    phi_j = 2 pi j / phi_count. Malformed nodes or counts are a ValueError.
     """
 
     theta_nodes: np.ndarray
@@ -69,9 +70,17 @@ class SphereQuadrature:
         arr = np.array(self.theta_nodes, dtype=float, copy=True)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"theta_nodes must have shape (K, 2), got {arr.shape}")
-        if abs(arr[:, 1].sum() - 2.0) > 1e-9:
+        theta, w = arr[:, 0], arr[:, 1]
+        if not ((theta >= 0.0) & (theta <= math.pi)).all():
+            raise ValueError(f"polar nodes must be finite and in [0, pi], got {theta}")
+        if not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite, got {w}")
+        if abs(w.sum() - 2.0) > 1e-9:
             raise ValueError("Gauss-Legendre weights in u must sum to 2")
-        if self.phi_count < 1:
+        count = self.phi_count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"the azimuthal node count must be an integer, got {count!r}")
+        if count < 1:
             raise ValueError("need at least one azimuthal node")
         arr.setflags(write=False)
         object.__setattr__(self, "theta_nodes", arr)
@@ -268,4 +277,4 @@ def reconstruct(psi: StateVector, N: int, quad: SphereQuadrature) -> StateVector
     _warn_if_under_resolved(N, quad)
     out = np.zeros(psi.dim, dtype=np.complex128)
     out[: N + 1] = _apply_resolution(N, quad, psi.amp)
-    return StateVector(_handed_over(out))
+    return StateVector._adopt(out)

@@ -109,9 +109,13 @@ def direct_stats(psi: StateVector) -> QuadratureStats:
 def _moment_weights(N: int, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The p-independent weights sqrt((N-1-n)/(N-n)) of A and sqrt(N/(N-n)) of B for
     n = lo..hi - 1 (default the whole row n = 0..N-1), N >= 1. Both are elementwise,
-    so a slice of the whole row has the bytes of the row built on the slice alone."""
-    m = N - np.arange(lo, N if hi is None else hi, dtype=float)  # N - n
-    return np.sqrt((m - 1.0) / m), np.sqrt(N / m)
+    so a slice of the whole row has the bytes of the row built on the slice alone.
+    Each is computed in place, with no temporary beyond the two results."""
+    m = np.arange(lo, N if hi is None else hi, dtype=float)
+    np.subtract(N, m, out=m)  # N - n
+    a = np.subtract(m, 1.0)
+    np.sqrt(np.divide(a, m, out=a), out=a)
+    return a, np.sqrt(np.divide(N, m, out=m), out=m)
 
 
 def _moment_sums(N: int, p: float, weights=None) -> tuple[float, float, float]:

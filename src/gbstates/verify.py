@@ -359,14 +359,14 @@ def group_delta(cfg: VerifyConfig) -> dict:
 
     endpoint-states-fidelity compares the top rung with the state and, for
     N >= 1, the bottom rung with its orthogonal partner; at N = 0 the
-    ladder is the vacuum alone. closed-form-vs-recursion compares the
-    single-vector solve of delta_state with the full solve of delta_basis.
+    ladder is the vacuum alone. single-rung-vs-full-ladder compares the
+    single-eigenvector solve of delta_state with the full solve of delta_basis.
     rotation-columns-match compares the ladder with the columns of the
     dense-expm rotation, not with rotation_operator, which shares its solve.
     """
     rng = np.random.default_rng(cfg.seed + 5)
     n_values = [cfg.n] if cfg.n is not None else [1, 2, 3, 5, 8, 13, 21, 30, 100, 200]
-    ortho = eig = ends = closed = complete = columns = 0.0
+    ortho = eig = ends = rung = complete = columns = 0.0
     for n in n_values:
         p, phi = float(rng.uniform(0.05, 0.95)), float(rng.random() * TWO_PI)
         basis = delta_basis(n, p, phi)
@@ -381,7 +381,7 @@ def group_delta(cfg: VerifyConfig) -> dict:
             ends = max(ends, abs(1.0 - abs(inner(basis.states[0], partner)) ** 2))
         m_probe = int(rng.integers(0, n + 1))
         single = delta_state(n, m_probe, p, phi)
-        closed = max(closed, abs(1.0 - abs(inner(single, basis.states[m_probe]))))
+        rung = max(rung, abs(1.0 - abs(inner(single, basis.states[m_probe]))))
         complete = max(complete, float(np.abs(vecs @ vecs.conj().T - np.eye(n + 1)).max()))
         eta = hp_algebra.RotationSpec.from_gbs(prm).eta
         r = oracles.rotation_expm(hp_algebra.hp_operators(n), eta).entries
@@ -403,7 +403,7 @@ def group_delta(cfg: VerifyConfig) -> dict:
         _le("pairwise-orthonormality", ortho, 1e-10, cfg),
         _le("ladder-eigenvalues", eig, 1e-9, cfg),
         _le("endpoint-states-fidelity", ends, 1e-10, cfg),
-        _le("closed-form-vs-recursion", closed, 1e-10, cfg),
+        _le("single-rung-vs-full-ladder", rung, 1e-10, cfg),
         _le("basis-completeness", complete, 1e-10, cfg),
         _le("rotation-columns-match", columns, 1e-10, cfg),
         _le("n2-middle-state-closed-form", middle, 1e-12, cfg),

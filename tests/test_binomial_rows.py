@@ -38,9 +38,9 @@ from gbstates.gbs import (
     coherent_state_truncated,
     gbs_overlap,
     gbs_state,
-    log_binomial,
 )
 from gbstates.hilbert import StateVector
+from gbstates.oracles import log_binomial
 from gbstates.resolution import expansion_amplitude_series
 from gbstates.squeezing import (
     SqueezeRow,

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from gbstates.delta_basis import delta_basis, delta_state
-from gbstates.gbs import GbsParams, gbs_state, log_binomial, orthogonal_partner
+from gbstates.gbs import GbsParams, gbs_state, orthogonal_partner
 from gbstates.hilbert import basis_state, inner
 from gbstates.hp_algebra import RotationSpec, rotated_operators, rotation_operator
+from gbstates.oracles import log_binomial
 
 TWO_PI = 2 * math.pi
 

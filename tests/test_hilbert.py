@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from gbstates.cas import CasParams, cas_expansion_check, cas_state
 from gbstates.delta_basis import delta_basis, delta_state
+from gbstates.gbs import GbsParams, coherent_state_truncated, gbs_state, params_to_angles
 from gbstates.hilbert import (
     OperatorMatrix,
     StateVector,
@@ -14,7 +16,9 @@ from gbstates.hilbert import (
     identity,
     inner,
 )
+from gbstates.hp_algebra import RotationSpec, link_operator, rotated_operators, rotation_operator
 from gbstates.oracles import expm
+from gbstates.resolution import SphereQuadrature, reconstruct
 
 
 def random_state(rng, dim):
@@ -163,20 +167,47 @@ def test_a_writeable_array_is_copied(wrap, shape):
     assert values is not arr and (values == 1.0).all()
 
 
-def test_a_read_only_array_that_owns_its_data_is_adopted():
-    amp = np.arange(4, dtype=np.complex128)
-    amp.setflags(write=False)
-    assert StateVector(amp).amp is amp
-    entries = np.eye(3, dtype=np.complex128)
-    entries.setflags(write=False)
-    assert OperatorMatrix(entries).entries is entries
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _square():
+    return np.arange(16, dtype=np.complex128).reshape(4, 4).copy()
+
+
+# kind: (its owner, which owns the data; whether the owner is read-only; the array handed over)
+CALLER_ARRAYS = {
+    "read-only owner": (lambda: np.arange(4, dtype=np.complex128), True, lambda a: a),
+    "read-only owner matrix": (_square, True, lambda a: a),
+    "whole row of a read-only owner": (_square, True, lambda a: a[1]),
+    "read-only row of a writeable owner": (_square, False, lambda a: _read_only(a.view())[1]),
+    "part of a row": (_square, True, lambda a: a[1, :2]),
+    "strided column": (_square, True, lambda a: a[:, 1]),
+    "read-only view": (lambda: np.arange(6, dtype=np.complex128), False, lambda a: _read_only(a[1:5])),
+    "read-only transpose": (_square, False, lambda a: _read_only(a.T)),
+    "another dtype": (lambda: np.arange(4.0), True, lambda a: a),
+}
+
+
+@pytest.mark.parametrize("kind", CALLER_ARRAYS)
+def test_a_callers_array_is_copied(kind):
+    """Whatever its flags, a caller's array is copied: the caller may make its own
+    array writeable again and change it, and the object keeps its values."""
+    make_owner, read_only, handed = CALLER_ARRAYS[kind]
+    owner = make_owner()
+    owner.setflags(write=not read_only)
+    arr = handed(owner)
+    expected = arr.astype(np.complex128)
+    held = StateVector(arr).amp if arr.ndim == 1 else OperatorMatrix(arr).entries
+    assert not np.shares_memory(held, owner)
+    assert held.dtype == np.complex128 and not held.flags.writeable
+    owner.setflags(write=True)
+    owner[...] = 7.0
+    assert (held == expected).all()
 
 
 def test_a_whole_row_of_a_handed_over_matrix_is_adopted():
-    rows = np.arange(12, dtype=np.complex128).reshape(3, 4).copy()
-    rows.setflags(write=False)
-    row = rows[1]
-    assert StateVector(row).amp is row
     basis = delta_basis(6, 0.3, 1.1)
     shared = basis.states[0].amp.base
     assert shared.shape == (7, 7) and not shared.flags.writeable
@@ -184,32 +215,69 @@ def test_a_whole_row_of_a_handed_over_matrix_is_adopted():
     assert delta_state(6, 2, 0.3, 1.1).amp.base.shape == (1, 7)
 
 
-def test_rows_of_a_writeable_owner_and_partial_rows_are_copied():
-    owner = np.arange(9, dtype=np.complex128).reshape(3, 3).copy()
-    view = owner.view()
-    view.setflags(write=False)
-    state = StateVector(view[1])  # read-only, but its owner is writeable
-    owner[...] = 0.0
-    assert state.amp.tolist() == [3, 4, 5]
-    owner.setflags(write=False)
-    for part in (owner[1, :2], owner[:, 1]):  # part of a row, a strided column
-        assert StateVector(part).amp.base is None
-
-
-def test_a_read_only_view_or_another_dtype_is_copied():
-    base = np.arange(6, dtype=np.complex128)
-    view = base[1:5]
-    view.setflags(write=False)
-    state = StateVector(view)
-    base[...] = 9.0
-    assert state.amp is not view and state.amp.tolist() == [1, 2, 3, 4]
-    real = np.arange(4.0)
-    real.setflags(write=False)
-    assert StateVector(real).amp.dtype == np.complex128
-    wrong = np.zeros(3, dtype=np.complex128)
-    wrong.setflags(write=False)
+def test_adopt_keeps_the_array_and_checks_its_shape():
+    amp = np.arange(4, dtype=np.complex128)
+    assert StateVector._adopt(amp).amp is amp and not amp.flags.writeable
+    assert StateVector._adopt(np.arange(4.0)).amp.dtype == np.complex128
+    assert (identity(2) * np.longdouble(2.0)).entries.dtype == np.complex128
     with pytest.raises(ValueError, match="2-d"):
-        OperatorMatrix(wrong)
+        OperatorMatrix._adopt(np.zeros(3, dtype=np.complex128))
+    with pytest.raises(ValueError, match="square"):
+        OperatorMatrix._adopt(np.zeros((2, 3), dtype=np.complex128))
+    with pytest.raises(ValueError, match="1-d"):
+        StateVector._adopt(np.zeros((2, 2), dtype=np.complex128))
+    with pytest.raises(ValueError, match=">= 1"):
+        StateVector._adopt(np.zeros(0, dtype=np.complex128))
+
+
+def test_every_producer_adopts_a_read_only_complex128_array(monkeypatch):
+    """Each producer hands the array it built to _adopt: with the copying
+    constructors disabled, every one still returns a read-only complex128 array."""
+    N, p, phi = 6, 0.3, 1.1
+    prm = GbsParams(N, p, phi)
+    psi, quad = gbs_state(prm), SphereQuadrature.build(N // 2 + 1, N + 1)
+    a = OperatorMatrix(np.arange(49.0).reshape(7, 7) * (1 + 1j))
+
+    def copying(self):
+        raise AssertionError(f"a producer built a {type(self).__name__} by copying")
+
+    monkeypatch.setattr(StateVector, "__post_init__", copying)
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", copying)
+    ops = rotated_operators(N, p, phi)
+    produced = {
+        "gbs_state": gbs_state(prm),
+        "cas_state": cas_state(CasParams(N / 2, params_to_angles(prm))),
+        "coherent_state_truncated": coherent_state_truncated(0.5, 30),
+        "reconstruct": reconstruct(psi, N, quad),
+        "cas_expansion_check": cas_expansion_check(N / 2, psi, quad),
+        "rotation_operator": rotation_operator(N, RotationSpec.from_gbs(prm)),
+        "link_operator": link_operator(N, prm, GbsParams(N, 0.6, 2.0)),
+        "rotated J3": ops.J3,
+        "rotated Jplus": ops.Jplus,
+        "rotated Jminus": ops.Jminus,
+        "Jsq": ops.Jsq,
+        "delta_state": delta_state(N, 2, p, phi),
+        "sum": a + a,
+        "difference": a - a,
+        "negation": -a,
+        "scalar product": 2j * a,
+        "product": a @ a,
+        "apply": a @ psi,
+        "normalized": apply(a, psi).normalized(),
+        "commutator": commutator(a, ops.J3),
+        "adjoint": adjoint(a),
+        "basis_state": basis_state(3, 1),
+        "identity": identity(3),
+    }
+    produced.update((f"delta_basis[{m}]", s) for m, s in enumerate(delta_basis(N, p, phi).states))
+    for name, value in produced.items():
+        arr = value.amp if isinstance(value, StateVector) else value.entries
+        assert arr.dtype == np.complex128 and not arr.flags.writeable, name
+    # the transpose keeps its F layout, as the copy it replaced did
+    assert ops.Jminus.entries.flags.f_contiguous and adjoint(a).entries.flags.f_contiguous
+    shared = produced["delta_basis[0]"].amp.base
+    assert shared.shape == (N + 1, N + 1) and not shared.flags.writeable
+    assert all(produced[f"delta_basis[{m}]"].amp.base is shared for m in range(N + 1))
 
 
 def test_normalized_flag_and_renormalization():

@@ -39,11 +39,24 @@ class TestSphereQuadrature:
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError, match="sum to 2"):
             SphereQuadrature(np.array([[0.3, 1.0]]), 4)
+        # a polar node outside [0, pi] or not finite, a weight not finite
+        for row, match in [
+            ([7.0, 2.0], "polar"),
+            ([-0.1, 2.0], "polar"),
+            ([np.nan, 2.0], "polar"),
+            ([np.inf, 2.0], "polar"),
+            ([0.3, np.nan], "finite"),
+            ([0.3, np.inf], "finite"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                SphereQuadrature(np.array([row]), 4)
 
     def test_needs_phi_nodes(self):
         nodes = SphereQuadrature.build(3, 4).theta_nodes
-        with pytest.raises(ValueError, match="azimuthal"):
-            SphereQuadrature(nodes, 0)
+        for count in (0, -1, True, np.bool_(True), 2.5, 4.0, "4", None):
+            with pytest.raises(ValueError, match="azimuthal"):
+                SphereQuadrature(nodes, count)
+        assert SphereQuadrature(nodes, np.int64(4)).phi_count == 4
 
 
 class TestIdentityResolution:
