@@ -3,9 +3,9 @@
 The Delta states are the eigenvectors of the rotated J3', eigenvalues
 m - N/2 for m = 0..N, from the orthogonal partner (m = 0) up to |N, p, phi>
 (m = N). The similarity diag(e^(-i n phi)) makes J3' real symmetric
-tridiagonal, so one eigh_tridiagonal call gives the ladder: the full basis
-in O(N^2) time and memory, the one state of delta_state in O(N) memory.
-Each state's first non-negligible amplitude is real positive.
+tridiagonal with Wigner's d(theta) as eigenvectors: the full basis is
+hp_algebra._wigner_d, delta_state one vector of an O(N) eigh_tridiagonal
+call. Each state's first non-negligible amplitude is real positive.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class DeltaBasis:
 
 
 def delta_basis(N: int, p: float, phi: float) -> DeltaBasis:
-    """The full ladder from one eigensolve; phi is kept as given, bad input is a ValueError.
+    """The full ladder from one d-matrix; phi is kept as given, bad input is a ValueError.
 
     Each state adopts its row of the one read-only matrix, uncopied."""
     rows = _ladder(GbsParams(N, p, phi))

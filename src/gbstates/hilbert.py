@@ -9,6 +9,7 @@ a brute-force reference, in gbstates.oracles.
 The public constructors copy what they are given. An array the package has
 just built is handed to StateVector._adopt or OperatorMatrix._adopt, which
 freeze it and keep it uncopied; its builder keeps no writeable view of it.
+A pickled or deep-copied value is rebuilt by that constructor; == is identity.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _frozen(arr: np.ndarray, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over a truncated basis of dimension >= 1."""
 
@@ -48,6 +49,9 @@ class StateVector:
         state = object.__new__(cls)
         object.__setattr__(state, "amp", _frozen(amp, 1))
         return state
+
+    def __reduce__(self):
+        return type(self), (self.amp,)
 
     @property
     def dim(self) -> int:
@@ -66,7 +70,7 @@ class StateVector:
         return StateVector._adopt(self.amp / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Square complex matrix acting on StateVectors of matching dimension."""
 
@@ -82,6 +86,9 @@ class OperatorMatrix:
         op = object.__new__(cls)
         object.__setattr__(op, "entries", _frozen(entries, 2))
         return op
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @property
     def dim(self) -> int:

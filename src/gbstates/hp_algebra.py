@@ -13,14 +13,15 @@ map p = cos^2(theta/2), phi = 2*pi - varphi.
 One set of real bands carries the whole ladder (_ladder_bands): after a
 diagonal phase similarity the rotated J3' is a real symmetric tridiagonal T
 and e^(i phi) Jplus' a real banded M, and hp_operators is the set at p = 1.
-Every rotation is the spin-N/2 image of one 2 x 2 SU(2) matrix (_lift): the
-columns come from one eigensolve of T (the exact-diagonalisation route to
-Wigner's d-matrix), their signs from M, their phases from two ramps. The
-rotation operator, the operator linking two states (composed on the spin-1/2
-matrices) and the composite rotation of composition_residual, whose angle may
-exceed pi, are all such lifts; the Delta basis of gbstates.delta_basis comes
-from the same eigensolve. The dense matrix exponential of the generator,
-the reference for every rotation here, is gbstates.oracles.rotation_expm.
+Every rotation is the spin-N/2 image of one 2 x 2 SU(2) matrix (_lift): its
+real core is Wigner's d(theta) = e^(-i theta Jy), a Fourier sum over the
+eigenbasis of Jx kept for the most recent N (_wigner_d; X. M. Feng et al.,
+Phys. Rev. E 92, 043307 (2015)), its phases two ramps. The rotation operator,
+the operator linking two states (composed on the spin-1/2 matrices) and the
+composite rotation of composition_residual, whose angle may exceed pi, are all
+such lifts; the Delta basis of gbstates.delta_basis is d(theta). The dense
+matrix exponential of the generator, the reference for every rotation here,
+is gbstates.oracles.rotation_expm.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,56 +89,66 @@ def hp_operators(N: int) -> PseudoSpinSet:
 def rotation_operator(N: int, spec: RotationSpec) -> OperatorMatrix:
     """Bloch rotation exp(-eta Jplus + eta* Jminus) on the (N+1)-dim ladder.
 
-    The spin-N/2 image of the spin-1/2 rotation at the same angles (_lift).
-    p = cos^2(theta/2) and q = sin^2(theta/2) are both taken from theta, which
-    keeps the digits of q near theta = 0. Column N of R is
-    e^(i N varphi) |N, p, 2*pi - varphi>.
+    The spin-N/2 image of the spin-1/2 rotation at the same angles (_lift). Column N
+    of R is e^(i N varphi) |N, p, 2*pi - varphi> with p = cos^2(theta/2).
     """
-    half = spec.angles.theta / 2.0
-    return _lift(N, math.cos(half) ** 2, math.sin(half) ** 2, spec.angles.varphi)
+    return _lift(N, spec.angles.theta, spec.angles.varphi)
 
 
-def _lift(N: int, p: float, q: float, phi: float, half_alpha: float = 0.0) -> OperatorMatrix:
-    """The spin-N/2 image of the spin-1/2 matrix
-    diag(e^(i a), e^(-i a)) [[c, e^(i phi) s], [-e^(-i phi) s, c]], c^2 = p, s^2 = q,
-    a = half_alpha: entry (n, m) is e^(i a (N - 2n)) e^(-i n phi) R0[n, m] e^(i m phi).
-
-    Column m of the real R0 is the eigenvector of the tridiagonal T of _ladder_bands
-    for m - N/2, its sign fixed by the ladder from one entry per column (_ladder_signs).
-    a rather than 2a carries the sign of the spin-1/2 matrix that an odd N sees.
-    O(N^2) time and memory beyond the eigensolve.
-    """
+def _lift(N: int, theta: float, phi: float, half_alpha: float = 0.0) -> OperatorMatrix:
+    """The spin-N/2 image of diag(e^(i a), e^(-i a)) [[c, e^(i phi) s], [-e^(-i phi) s, c]],
+    c, s = cos, sin(theta/2), a = half_alpha (not 2a: an odd N sees the sign): entry (n, m) is
+    e^(i a (N - 2n)) e^(-i n phi) d[n, m] e^(i m phi), d the real _wigner_d(N, theta)."""
     N = _check_photon_number(N)
     tilt = _phase_ramp(half_alpha, 0, np.empty(N + 1, dtype=np.complex128))
     row = tilt[::-1] * np.conj(tilt)  # e^(i a (N - 2n))
-    if N == 0 or q == 0.0:
+    if N == 0 or theta == 0.0:
         out = np.diag(row)
     else:
-        v = _ladder_eigenvectors(N, p, q)
         col = _phase_ramp(phi, 0, np.empty(N + 1, dtype=np.complex128))
-        out = (row * np.conj(col))[:, None] * v
-        out *= _ladder_signs(v, _ladder_bands(N, p, q)[1]) * col
+        out = (row * np.conj(col))[:, None] * _wigner_d(N, theta)
+        out *= col
     return OperatorMatrix._adopt(out)
 
 
-def _ladder_signs(v: np.ndarray, m_bands: tuple) -> np.ndarray:
-    """Signs s for the eigenvector columns v_m of _ladder_eigenvectors that make column
-    N the non-negative |N, p, 0> and <s v_(m+1)| M |s v_m> > 0 for the banded M of
-    _ladder_bands (m_bands), as the ladder R0 J+ R0^T requires.
+@lru_cache(maxsize=1)
+def _jx_basis(N: int) -> np.ndarray:
+    """Eigenvectors X_k of Jx = (J+ + J-)/2 for mu_k = k - N/2 >= 0 (X_(N-k) = +-(-1)^a X_k),
+    row a times i^(-a) (odd a: i^(1-a)), even rows first: one read-only array, most recent N.
+    dstein (inverse iteration) takes the exact mu_k: within 1e-15 of the exact X at N = 192, a
+    full eigensolve within 7e-15. It reorthogonalises eigenvalues within 1e-3 of the norm N/2,
+    so each call takes every (N // 1000 + 1)-th mu_k, not one O(N^3) cluster past N = 2000."""
+    from scipy.linalg.lapack import dstein  # deferred: the vector paths never need scipy
+    diag, off = _ladder_bands(N, 0.5, 0.5)[0]
+    mu, step, even = np.arange(N // 2 + 1) + (N % 2) / 2.0, N // 1000 + 1, N // 2 + 1
+    out, one_block = np.empty((N + 1, mu.size)), (np.ones(N + 1, np.int32), np.full(N + 1, N + 1))
+    for i in range(step):  # rows go straight to their parity block: no whole-basis temporary
+        z, info = dstein(diag, off, mu[i::step], *one_block)
+        if info != 0:
+            raise ArithmeticError(f"dstein: {info} eigenvectors of Jx failed at N={N}")
+        out[:even, i::step], out[even:, i::step] = z[0::2], z[1::2]
+    out[1:even:2] *= -1.0  # i^(-a) is -1 at a = 2 mod 4, i^(1-a) at a = 3 mod 4
+    out[even + 1 :: 2] *= -1.0
+    out.setflags(write=False)
+    return out
 
-    M v_m = c_m v_(m+1) with |c_m| = sqrt((N-m)(m+1)) >= sqrt(N), so one entry per
-    column gives the sign of c_m = <v_(m+1)| M |v_m>: (M v_m)[k] v_(m+1)[k] at
-    k = argmax |v_(m+1)| is c_m v_(m+1)[k]^2 with v_(m+1)[k]^2 >= 1/(N+1), far above
-    roundoff. One argmax pass over v, then O(N).
-    """
-    m_diag, m_sub, m_sup = m_bands
-    N = v.shape[0] - 1
-    m = np.arange(N)
-    k = np.argmax(np.abs(v[:, 1:]), axis=0)
-    sub, sup = np.concatenate(([0.0], m_sub)), np.append(m_sup, 0.0)  # M[k, k-1], M[k, k+1]
-    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, N)
-    link = (m_diag[k] * v[k, m] + sub[k] * v[lo, m] + sup[k] * v[hi, m]) * v[k, m + 1]
-    return np.append(np.cumprod(np.sign(link)[::-1])[::-1], 1.0) * np.sign(v[:, N].sum())
+
+def _wigner_d(N: int, theta: float) -> np.ndarray:
+    """Wigner's real d(theta) = e^(-i theta Jy), N >= 1, as a new array: Jy is Jx turned by
+    pi/2 about z, so d[a, b] = Re[i^(b-a) sum_k X_ak X_bk e^(-i theta mu_k)]. Split by parity
+    and folded onto mu_k >= 0, three half-size real products against 2 cos(theta mu) and
+    2 sin(theta mu), from the ramp of theta/2 at n = 2 mu. Column m is the eigenvector of T
+    at p - q = cos theta for m - N/2, with the ladder's signs whatever the signs of X_k."""
+    even, odd = np.split(_jx_basis(N), [N // 2 + 1])
+    ramp = _phase_ramp(theta / 2.0, 0, np.empty(N + 1, dtype=np.complex128))[N % 2 :: 2]
+    cos, sin = 2.0 * ramp.real, 2.0 * ramp.imag
+    cos[: 1 - N % 2] = 1.0  # at even N, mu = 0 is its own mirror
+    d = np.empty((N + 1, N + 1))
+    d[0::2, 0::2] = (even * cos) @ even.T
+    d[1::2, 1::2] = (odd * cos) @ odd.T
+    d[0::2, 1::2] = (even * sin) @ odd.T
+    d[1::2, 0::2] = -d[0::2, 1::2].T
+    return d
 
 
 def rotated_operators(N: int, p: float, phi: float) -> PseudoSpinSet:
@@ -185,14 +197,15 @@ def _ladder_bands(N: int, p: float, q: float) -> tuple[tuple, tuple]:
 
 
 def _ladder_eigenvectors(N: int, p: float, q: float, m: int | None = None) -> np.ndarray:
-    """Real eigenvectors of T (_ladder_bands) as columns, eigenvalue m - N/2 in
-    column m, for m = 0..N or for the given m alone; each column's sign is arbitrary.
-    N >= 1: eigh_tridiagonal takes no empty matrix.
+    """Real eigenvectors of T (_ladder_bands) as columns, eigenvalue m - N/2 in column m:
+    for m = 0..N d(theta) at theta = 2 atan2(sqrt(q), sqrt(p)), or for the given m alone one
+    vector of an O(N) eigensolve, its sign arbitrary. N >= 1.
     """
+    if m is None:
+        return _wigner_d(N, 2.0 * math.atan2(math.sqrt(q), math.sqrt(p)))
     from scipy.linalg import eigh_tridiagonal  # deferred: the vector paths never need scipy
 
-    select = {} if m is None else {"select": "i", "select_range": (m, m)}
-    return eigh_tridiagonal(*_ladder_bands(N, p, q)[0], **select)[1]  # ascending m
+    return eigh_tridiagonal(*_ladder_bands(N, p, q)[0], select="i", select_range=(m, m))[1]
 
 
 def link_operator(N: int, a: GbsParams, b: GbsParams) -> OperatorMatrix:
@@ -215,13 +228,13 @@ def _lift_spin_half(N: int, u: np.ndarray) -> OperatorMatrix:
     diag(e^(i alpha/2), e^(-i alpha/2)) [[c, e^(i phi_c) s], [-e^(-i phi_c) s, c]]."""
     c, s = abs(u[0, 0]), abs(u[0, 1])
     half_alpha = cmath.phase(u[0, 0]) if c > 0.0 else 0.0
-    return _lift(N, c * c, s * s, cmath.phase(u[0, 1]) - half_alpha, half_alpha)
+    return _lift(N, 2.0 * math.atan2(s, c), cmath.phase(u[0, 1]) - half_alpha, half_alpha)
 
 
 def _link(N: int, a: BlochAngles, b: BlochAngles) -> OperatorMatrix:
     """R(b) R(a)^(-1) as one rotation: the spin-N/2 representation is a homomorphism,
     so the product is composed on the spin-1/2 matrices U = U(b) U(a)^+ and lifted once.
-    One eigensolve and O(N^2) work, against two eigensolves and an (N+1)^3 product.
+    One real core and O(N^2) work, against two rotations and an (N+1)^3 product.
     """
     u = _spin_half(b.theta, b.varphi) @ _spin_half(a.theta, a.varphi).conj().T
     return _lift_spin_half(N, u)

@@ -175,7 +175,7 @@ def group_gbs(cfg: VerifyConfig) -> dict:
 
 
 def group_rotation(cfg: VerifyConfig) -> dict:
-    """Rotated number state, link operator, zero angle, and the eigensolve rotation
+    """Rotated number state, link operator, zero angle, and the d-matrix rotation
     against the dense-expm oracle at polar angles near 0 and pi and one drawn
     from the sphere. link-vs-expm-oracle compares the link operator, composed on
     the spin-1/2 matrices, with the product of two dense-expm rotations, on a
@@ -360,9 +360,10 @@ def group_delta(cfg: VerifyConfig) -> dict:
     endpoint-states-fidelity compares the top rung with the state and, for
     N >= 1, the bottom rung with its orthogonal partner; at N = 0 the
     ladder is the vacuum alone. single-rung-vs-full-ladder compares the
-    single-eigenvector solve of delta_state with the full solve of delta_basis.
-    rotation-columns-match compares the ladder with the columns of the
-    dense-expm rotation, not with rotation_operator, which shares its solve.
+    single-eigenvector solve of delta_state with the d-matrix of delta_basis,
+    two independent routes. rotation-columns-match compares the ladder with the
+    columns of the dense-expm rotation, not with rotation_operator, which shares
+    its d-matrix.
     """
     rng = np.random.default_rng(cfg.seed + 5)
     n_values = [cfg.n] if cfg.n is not None else [1, 2, 3, 5, 8, 13, 21, 30, 100, 200]

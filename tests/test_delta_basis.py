@@ -1,8 +1,8 @@
 """Tests for the orthonormal ladder basis between two orthogonal states.
 
-The ladder is one tridiagonal eigensolve. The earlier builds, a normalized
-raising recursion for the basis and the (Jplus')^m / m! closed form for a
-single state, are kept here as references.
+The ladder is Wigner's d-matrix, one state one tridiagonal eigenvector. The
+earlier builds, a normalized raising recursion for the basis and the
+(Jplus')^m / m! closed form for a single state, are kept here as references.
 """
 
 import math

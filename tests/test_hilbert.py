@@ -1,5 +1,8 @@
 """Tests for the dense linear-algebra substrate."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,37 @@ def test_a_callers_array_is_copied(kind):
     owner.setflags(write=True)
     owner[...] = 7.0
     assert (held == expected).all()
+
+
+COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_a_pickled_or_copied_value_is_read_only(how):
+    """A copy is rebuilt by the copying constructor: equal values, read-only, and
+    sharing no memory with an adopted original (a delta_basis row of one matrix)."""
+    state = delta_basis(4, 0.3, 1.0).states[2]
+    op = rotation_operator(4, RotationSpec.from_gbs(GbsParams(4, 0.3, 1.0)))
+    for value, arr in ((state, state.amp), (op, op.entries)):
+        dup = COPIES[how](value)
+        dup_arr = dup.amp if isinstance(dup, StateVector) else dup.entries
+        assert type(dup) is type(value) and dup is not value
+        assert dup_arr.tobytes() == arr.tobytes() and dup_arr.shape == arr.shape
+        assert dup_arr.dtype == np.complex128 and not dup_arr.flags.writeable
+        assert not np.shares_memory(dup_arr, arr)
+
+
+def test_values_compare_by_identity_and_hash():
+    s, t = gbs_state(GbsParams(4, 0.3, 1.0)), gbs_state(GbsParams(4, 0.3, 1.0))
+    a, b = identity(3), identity(3)
+    assert s == s and s != t and not (s == t)
+    assert a == a and a != b
+    assert len({s, t, s, a, b}) == 4
+    assert delta_basis(3, 0.3, 1.0) != delta_basis(3, 0.3, 1.0)  # holds states, no raise
 
 
 def test_a_whole_row_of_a_handed_over_matrix_is_adopted():
